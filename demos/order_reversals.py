@@ -42,7 +42,7 @@ print("Every cycle with product < 1 admits a vector with exactly one")
 print("reversal along the cycle -- never zero, because the product of the")
 print("comparisons around the cycle is less than 1 while the weight ratios")
 print("multiply to exactly 1:")
-_, below = enumerate_cycles(a)
+below, _ = enumerate_cycles(a)
 for cycle in below:
     vec, along = min_reversal_vector(a, cycle)
     path = " -> ".join(str(v + 1) for v in cycle.order + (cycle.order[0],))

@@ -12,10 +12,8 @@ from .bruteforce import DominanceProbe, dominance_search, exhaustive_hamiltonian
 from .cones import (
     EfficiencyCone,
     cone_extremes,
-    cone_membership,
     cycle_product,
     efficiency_cone,
-    is_singleton_cone,
     resolve_unit_cycle,
 )
 from .decomposition import (
@@ -106,7 +104,6 @@ __all__ = [
     "column_vector",
     "columns_common_cone",
     "cone_extremes",
-    "cone_membership",
     "consistent_matrix",
     "convexity_report",
     "count_reversals",
@@ -126,7 +123,6 @@ __all__ = [
     "generate",
     "is_consistent",
     "is_efficient",
-    "is_singleton_cone",
     "matrix_to_json",
     "membership",
     "min_reversal_vector",

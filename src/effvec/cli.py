@@ -48,6 +48,7 @@ from .ranking import (
     singular_vector,
     weighted_geometric,
 )
+from .rationals import parse_rational
 from .reversals import count_reversals, min_reversal_vector
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -326,7 +327,10 @@ def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
     weights = None
     if args.weights:
         parts = [tok for tok in args.weights.replace(",", " ").split() if tok]
-        weights = tuple(Fraction(tok) for tok in parts)
+        try:
+            weights = tuple(parse_rational(tok) for tok in parts)
+        except ValueError as exc:
+            raise ParseError(str(exc), "--weights") from None
         if len(weights) != a.n:
             raise ParseError(f"expected {a.n} weights, got {len(weights)}")
 
@@ -580,7 +584,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EffvecError as exc:

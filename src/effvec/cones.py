@@ -21,9 +21,7 @@ __all__ = [
     "EfficiencyCone",
     "cycle_product",
     "cycle_entries",
-    "cone_membership",
     "cone_extremes",
-    "is_singleton_cone",
     "efficiency_cone",
     "resolve_unit_cycle",
 ]
@@ -42,14 +40,6 @@ def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     for value in cycle_entries(a, cycle):
         product *= value
     return product
-
-
-def cone_membership(a: ReciprocalMatrix, cycle: HamiltonianCycle, w: Sequence[Fraction]) -> bool:
-    """True when every cycle edge inequality w[i] >= a[i][j] * w[j] holds."""
-    vec = as_weight_vector(w)
-    if len(vec) != a.n:
-        raise ValueError("vector length does not match matrix dimension")
-    return all(vec[i] >= a.entries[i][j] * vec[j] for i, j in cycle.edges())
 
 
 def chain_solution(a: ReciprocalMatrix, cycle: HamiltonianCycle, omit: int) -> Vec:
@@ -82,19 +72,9 @@ def cone_extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ..
     rays: list[Vec] = []
     for omit in range(cycle.n):
         ray = chain_solution(a, cycle, omit)
-        if not cone_membership(a, cycle, ray):  # pragma: no cover - guarded by product <= 1
-            raise ValueError("omitted inequality violated; inconsistent cone data")
         if ray not in rays:
             rays.append(ray)
     return tuple(rays)
-
-
-def is_singleton_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> bool:
-    """True when the cone is a single ray, i.e. the cycle product equals 1."""
-    product = cycle_product(a, cycle)
-    if product > 1:
-        raise ValueError("cycle product exceeds 1; the cone is empty")
-    return product == 1
 
 
 @dataclass(frozen=True)
@@ -111,21 +91,24 @@ class EfficiencyCone:
     singleton: bool
 
     def contains(self, w: Sequence[Fraction]) -> bool:
+        """True when w satisfies every edge inequality of the cycle."""
         vec = as_weight_vector(w)
+        n = self.cycle.n
+        if len(vec) != n:
+            raise ValueError(f"vector length {len(vec)} does not match matrix dimension {n}")
         return all(vec[i] >= c * vec[j] for i, j, c in self.inequalities)
 
 
 def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyCone:
     """Assemble the cone record for a cycle with product at most 1."""
+    extremes = cone_extremes(a, cycle)  # raises when the product exceeds 1
     product = cycle_product(a, cycle)
-    if product > 1:
-        raise ValueError("cycle product exceeds 1; the cone is empty")
     inequalities = tuple((i, j, a.entries[i][j]) for i, j in cycle.edges())
     return EfficiencyCone(
         cycle=cycle,
         product=product,
         inequalities=inequalities,
-        extremes=cone_extremes(a, cycle),
+        extremes=extremes,
         singleton=product == 1,
     )
 

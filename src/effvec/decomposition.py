@@ -4,7 +4,10 @@ For an inconsistent matrix, the efficient vectors are exactly the union of
 the cones of Hamiltonian cycles whose entry product is strictly below 1;
 cycles at product exactly 1 contribute single rays already absorbed by that
 union.  Enumeration walks all (n-1)! cycles anchored at vertex 0, which is
-refused beyond a configurable cap instead of silently taking forever.
+refused beyond a configurable cap instead of silently taking forever, and
+splits them once into the sub-unit and the unit cycles.  A vector lies in a
+cycle's cone exactly when every cycle edge is an edge of its dominance
+digraph.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cones import EfficiencyCone, cycle_product, efficiency_cone
-from .digraph import HamiltonianCycle, is_efficient
+from .digraph import HamiltonianCycle, build_digraph, is_efficient
 from .errors import CapExceededError
-from .matrices import ReciprocalMatrix, Vec, as_weight_vector, is_consistent, normalize, proportional
+from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
@@ -46,20 +49,21 @@ def all_cycles(n: int, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[HamiltonianCycl
 def enumerate_cycles(
     a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP
 ) -> tuple[tuple[HamiltonianCycle, ...], tuple[HamiltonianCycle, ...]]:
-    """Split all cycles by entry product: (product <= 1, product < 1).
+    """Split all cycles by entry product: (product < 1, product == 1).
 
-    The first tuple contains the second; cycles at product exactly 1 appear
-    in the first only (together with their reversals, which also sit at 1).
+    The two tuples are disjoint and each keeps enumeration order.  Cycles at
+    product exactly 1 come with their reversals, which also sit at 1; cycles
+    above 1 are the reversals of the sub-unit ones and are dropped.
     """
-    at_most_one: list[HamiltonianCycle] = []
     below_one: list[HamiltonianCycle] = []
+    unit: list[HamiltonianCycle] = []
     for cycle in all_cycles(a.n, cap):
         product = cycle_product(a, cycle)
-        if product <= 1:
-            at_most_one.append(cycle)
-            if product < 1:
-                below_one.append(cycle)
-    return tuple(at_most_one), tuple(below_one)
+        if product < 1:
+            below_one.append(cycle)
+        elif product == 1:
+            unit.append(cycle)
+    return tuple(below_one), tuple(unit)
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,7 @@ def decompose(a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP) -> Decompositio
     """Full cone decomposition of the efficient set of ``a``."""
     if is_consistent(a):
         return Decomposition(matrix=a, cones=(), unit_cycles=(), ray=normalize(a.column(0)))
-    at_most_one, below_one = enumerate_cycles(a, cap)
-    unit = tuple(c for c in at_most_one if c not in set(below_one))
+    below_one, unit = enumerate_cycles(a, cap)
     cones = tuple(efficiency_cone(a, c) for c in below_one)
     return Decomposition(matrix=a, cones=cones, unit_cycles=unit)
 
@@ -94,17 +97,15 @@ def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | No
 
     None means w is not efficient for the decomposed matrix.  For a
     consistent matrix, members of the single ray report the rotation cycle
-    0 -> 1 -> ... -> n-1 -> 0, which their dominance digraph does contain.
+    0 -> 1 -> ... -> n-1 -> 0: the dominance digraph contains it exactly
+    when w lies on the ray.
     """
-    vec = as_weight_vector(w)
+    g = build_digraph(d.matrix, w)
     if d.ray is not None:
-        if proportional(vec, d.ray):
-            return HamiltonianCycle(tuple(range(d.matrix.n)))
-        return None
-    for cone in d.cones:
-        if cone.contains(vec):
-            return cone.cycle
-    return None
+        cycles = [HamiltonianCycle(tuple(range(d.matrix.n)))]
+    else:
+        cycles = [cone.cycle for cone in d.cones]
+    return next((c for c in cycles if all(g.has_edge(i, j) for i, j in c.edges())), None)
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,6 @@ class HamiltonianCycle:
         n = self.n
         return tuple((self.order[t], self.order[(t + 1) % n]) for t in range(n))
 
-    def reverse(self) -> "HamiltonianCycle":
-        return HamiltonianCycle((0,) + tuple(reversed(self.order[1:])))
-
 
 @dataclass(frozen=True)
 class DominanceDigraph:
@@ -179,15 +176,17 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
 
     Builds a Hamiltonian path by insertion, closes its longest closable
     prefix into a cycle, then grows the cycle one splice at a time.  Runs in
-    polynomial time; never enumerates permutations.
+    polynomial time; never enumerates permutations.  Every step uses only
+    edges of g, so the construction completes exactly when g is strongly
+    connected; otherwise it gets stuck and raises ValueError.
     """
-    strong, _ = strongly_connected(g)
-    if not strong:
-        raise ValueError("digraph is not strongly connected; no Hamiltonian cycle exists")
+    not_strong = "digraph is not strongly connected; no Hamiltonian cycle exists"
     path = _hamiltonian_path(g)
     n = g.n
 
-    close_at = max(t for t in range(1, n) if g.has_edge(path[t], path[0]))
+    close_at = max((t for t in range(1, n) if g.has_edge(path[t], path[0])), default=0)
+    if close_at == 0:
+        raise ValueError(not_strong)
     cycle = path[: close_at + 1]
     remaining = path[close_at + 1 :]
 
@@ -206,7 +205,7 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
         if inserted:
             continue
         # No vertex slots in, so each remaining vertex either beats the whole
-        # cycle or loses to it; strong connectivity forces a bridge pair.
+        # cycle or loses to it; only strong connectivity forces a bridge pair.
         beats = [u for u in remaining if g.has_edge(u, cycle[0])]
         loses = [u for u in remaining if u not in beats]
         bridge = None
@@ -217,8 +216,8 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
                     break
             if bridge:
                 break
-        if bridge is None:  # pragma: no cover - contradiction with strong connectivity
-            raise ValueError("digraph is not strongly connected")
+        if bridge is None:
+            raise ValueError(not_strong)
         cycle.extend(bridge)
         remaining.remove(bridge[0])
         remaining.remove(bridge[1])

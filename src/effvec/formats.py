@@ -41,7 +41,7 @@ def _rational_from_json(value: Any, where: str) -> Fraction:
     try:
         if isinstance(value, str):
             return parse_rational(value)
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float, Fraction)):
             return rationalize(value)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), where) from None
@@ -53,7 +53,7 @@ def parse_matrix(text: str) -> ReciprocalMatrix:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, parse_float=parse_rational)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", "matrix") from None
         return matrix_from_json(payload)
@@ -116,7 +116,7 @@ def parse_vector(text: str) -> Vec:
     stripped = text.strip()
     if stripped.startswith("["):
         try:
-            payload = json.loads(stripped)
+            payload = json.loads(stripped, parse_float=parse_rational)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", "vector") from None
         values = [_rational_from_json(v, f"component {i + 1}") for i, v in enumerate(payload)]

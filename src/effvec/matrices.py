@@ -94,10 +94,6 @@ class ReciprocalMatrix:
             raise IndexError(f"column index {j} out of range for n={self.n}")
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "ReciprocalMatrix":
-        n = self.n
-        return ReciprocalMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
-
 
 def consistent_matrix(w: Sequence[Fraction]) -> ReciprocalMatrix:
     """The rank-one comparison matrix with entries w_i / w_j."""
@@ -144,14 +140,6 @@ class MonomialTransform:
     @property
     def n(self) -> int:
         return len(self.scale)
-
-    def inverse(self) -> "MonomialTransform":
-        n = self.n
-        inv_perm = [0] * n
-        for old, new in enumerate(self.perm):
-            inv_perm[new] = old
-        inv_scale = tuple(1 / self.scale[inv_perm[t]] for t in range(n))
-        return MonomialTransform(inv_scale, tuple(inv_perm))
 
 
 def monomial_similarity(a: ReciprocalMatrix, t: MonomialTransform) -> ReciprocalMatrix:

@@ -51,9 +51,9 @@ class ColumnPerturbedForm:
     """Canonical form of a column-perturbed consistent matrix.
 
     ``canonical`` has the perturbed index at position 0 and an all-ones
-    trailing block; ``transform`` maps the original matrix onto it (its
-    inverse maps back).  ``index`` is the detected position in the original
-    matrix; ``candidates`` lists every deletion index that left a consistent
+    trailing block; ``transform`` rescales and relabels the original matrix
+    onto it.  ``index`` is the detected position in the original matrix;
+    ``candidates`` lists every deletion index that left a consistent
     block.  ``pairs`` holds the (top, bottom) index pairs, 0-based positions
     in the canonical matrix, that carve the efficient set.
     """

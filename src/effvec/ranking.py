@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import DEFAULT_CYCLE_CAP, all_cycles
-from .cones import cone_membership, cycle_product
-from .digraph import EfficiencyCertificate, HamiltonianCycle, is_efficient
+from .digraph import EfficiencyCertificate, HamiltonianCycle, build_digraph, is_efficient
 from .errors import ConvergenceError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize
 from .rationals import nth_root_exact, nth_root_floor
@@ -205,12 +204,13 @@ def columns_common_cone(
 
     When found, the whole conic hull of the columns is efficient, so any
     weighted geometric or arithmetic column blend is safe.  The first
-    qualifying cycle in enumeration order is returned.
+    qualifying cycle in enumeration order is returned.  A cycle whose edges
+    a positive vector satisfies has product at most 1, so no product test
+    is needed.
     """
-    columns = [a.column(j) for j in range(a.n)]
+    graphs = [build_digraph(a, a.column(j)) for j in range(a.n)]
     for cycle in all_cycles(a.n, cap):
-        if cycle_product(a, cycle) <= 1 and all(
-            cone_membership(a, cycle, c) for c in columns
-        ):
+        edges = cycle.edges()
+        if all(g.has_edge(i, j) for g in graphs for i, j in edges):
             return cycle
     return None

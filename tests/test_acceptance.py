@@ -15,12 +15,12 @@ from effvec import (
     HamiltonianCycle,
     MonomialTransform,
     build_digraph,
-    cone_membership,
     convexity_report,
     cycle_product,
     decompose,
     detect_column_perturbed,
     dominance_search,
+    efficiency_cone,
     efficient_set_union,
     enumerate_cycles,
     exhaustive_hamiltonian,
@@ -38,7 +38,6 @@ from effvec import (
     strongly_connected,
     weighted_geometric,
 )
-from effvec.cones import cone_extremes, is_singleton_cone
 from effvec.matrices import ReciprocalMatrix
 from helpers import fractions, identity_cycle, matrix_of, unit_cycle_fixture
 
@@ -131,9 +130,9 @@ class TestAcceptance:
         with criterion(
             capfd, 2, "5x5 column-perturbed: 12 cycles, 6 bands, triple agreement x1000", limit=5.0
         ):
-            at_most, below = enumerate_cycles(perturbed5)
+            below, unit = enumerate_cycles(perturbed5)
             assert len(below) == 12
-            assert len(at_most) == len(below)  # zero product-1 cycles
+            assert unit == ()  # zero product-1 cycles
 
             form = detect_column_perturbed(perturbed5)
             bands = efficient_set_union(form)
@@ -242,13 +241,14 @@ class TestAcceptance:
             for a in fixture_matrices():
                 if a.n > 6:
                     continue
-                at_most, _ = enumerate_cycles(a)
-                for cycle in at_most:
+                below, unit = enumerate_cycles(a)
+                for cycle in below + unit:
                     product = cycle_product(a, cycle)
-                    assert is_singleton_cone(a, cycle) == (product == 1)
-                    extremes = cone_extremes(a, cycle)
+                    cone = efficiency_cone(a, cycle)
+                    assert cone.singleton == (product == 1)
+                    extremes = cone.extremes
                     for ext in extremes:
-                        assert cone_membership(a, cycle, ext)
+                        assert cone.contains(ext)
                     if product == 1:
                         assert len(extremes) == 1
                         continue
@@ -265,7 +265,7 @@ class TestAcceptance:
                             sum(c * e[i] for c, e in zip(coeffs, extremes)) / total
                             for i in range(a.n)
                         )
-                        assert cone_membership(a, cycle, blend)
+                        assert cone.contains(blend)
                         combo_trials += 1
             assert combo_trials >= 1000
 
@@ -277,8 +277,8 @@ class TestAcceptance:
             for a in fixture_matrices():
                 if a.n > 5:
                     continue
-                at_most, _ = enumerate_cycles(a)
-                for cycle in at_most:
+                below, unit = enumerate_cycles(a)
+                for cycle in below + unit:
                     vec, along = min_reversal_vector(a, cycle)
                     zero_possible = (
                         any(a.entries[i][j] > 1 for i, j in cycle.edges())
@@ -306,7 +306,7 @@ class TestAcceptance:
                 along = [a.entries[i][j] for i, j in out.edges()]
                 assert all(e <= 1 for e in along), name
                 assert any(e < 1 for e in along), name
-                _, below = enumerate_cycles(a)
+                below, _ = enumerate_cycles(a)
                 assert out in below, name
 
     def test_09_count_bounds(self, capfd):
@@ -316,10 +316,10 @@ class TestAcceptance:
             for a in fixture_matrices():
                 if a.n > 6:
                     continue
-                at_most, below = enumerate_cycles(a)
+                below, unit = enumerate_cycles(a)
                 bound = math.factorial(a.n - 1) // 2
                 assert len(below) <= bound
-                if len(at_most) == len(below):  # no product-1 cycles
+                if not unit:  # no product-1 cycles
                     assert len(below) == bound
                 form = detect_column_perturbed(a)
                 if form is not None:

@@ -45,6 +45,10 @@ class TestCheck:
     def test_missing_file_exit_two(self, files):
         assert main(["check", str(files["tmp"] / "nope.txt"), files["column"]]) == 2
 
+    def test_directory_exit_two(self, files, capsys):
+        assert main(["check", str(files["tmp"]), files["column"]]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_json_output(self, files, capsys):
         assert main(["check", files["circulant"], files["column"], "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -180,6 +184,10 @@ class TestRank:
 
     def test_weight_count_error(self, files):
         assert main(["rank", files["circulant"], "--weights", "1/2,1/2"]) == 2
+
+    def test_bad_weight_literal(self, files, capsys):
+        assert main(["rank", files["circulant"], "--weights", "1/0,1,1,1"]) == 2
+        assert "error: --weights: bad rational literal '1/0'" in capsys.readouterr().err
 
 
 class TestGenerate:

@@ -10,18 +10,23 @@ from effvec import (
     consistent_matrix,
     cycle_product,
     efficiency_cone,
+    generate,
     is_efficient,
-    is_singleton_cone,
     monomial_similarity,
     resolve_unit_cycle,
 )
-from effvec.cones import chain_solution, cone_extremes, cone_membership
+from effvec.cones import chain_solution, cone_extremes
 from helpers import fractions, identity_cycle, in_conic_hull, unit_cycle_fixture
 
 
 @pytest.fixture
 def subunit_cycle():
     return HamiltonianCycle.from_vertices((0, 3, 2, 1))
+
+
+@pytest.fixture
+def subunit_cone(circulant4, subunit_cycle):
+    return efficiency_cone(circulant4, subunit_cycle)
 
 
 class TestCycleProduct:
@@ -68,7 +73,7 @@ class TestConeExtremes:
         extremes = cone_extremes(consistent3, identity_cycle(3))
         assert len(extremes) == 1
         cone = efficiency_cone(consistent3, identity_cycle(3))
-        assert cone.singleton and is_singleton_cone(consistent3, identity_cycle(3))
+        assert cone.singleton
 
     def test_subunit_cone_has_n_distinct_extremes(self, double4):
         for order in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
@@ -78,28 +83,26 @@ class TestConeExtremes:
 
 
 class TestConeMembership:
-    def test_interior_point(self, circulant4, subunit_cycle):
-        assert cone_membership(circulant4, subunit_cycle, fractions(1, 1, 1, 1))
+    def test_interior_point(self, subunit_cone):
+        assert subunit_cone.contains(fractions(1, 1, 1, 1))
 
-    def test_outside_point(self, circulant4, subunit_cycle):
-        assert not cone_membership(circulant4, subunit_cycle, fractions(1, 16, 1, 1))
+    def test_outside_point(self, subunit_cone):
+        assert not subunit_cone.contains(fractions(1, 16, 1, 1))
 
-    def test_membership_equals_conic_hull(self, circulant4, subunit_cycle):
+    def test_membership_equals_conic_hull(self, subunit_cone):
         import random
 
         rng = random.Random(9)
-        extremes = cone_extremes(circulant4, subunit_cycle)
+        extremes = subunit_cone.extremes
         for _ in range(200):
             w = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(4))
-            assert cone_membership(circulant4, subunit_cycle, w) == in_conic_hull(
-                extremes, w
-            )
+            assert subunit_cone.contains(w) == in_conic_hull(extremes, w)
 
-    def test_conic_combinations_stay_inside(self, circulant4, subunit_cycle):
+    def test_conic_combinations_stay_inside(self, subunit_cone):
         import random
 
         rng = random.Random(10)
-        extremes = cone_extremes(circulant4, subunit_cycle)
+        extremes = subunit_cone.extremes
         for _ in range(200):
             coeffs = [Fraction(rng.randint(0, 8), rng.randint(1, 5)) for _ in extremes]
             if not any(coeffs):
@@ -107,7 +110,17 @@ class TestConeMembership:
             blend = tuple(
                 sum(c * e[i] for c, e in zip(coeffs, extremes)) for i in range(4)
             )
-            assert cone_membership(circulant4, subunit_cycle, blend)
+            assert subunit_cone.contains(blend)
+
+    def test_rejects_wrong_length(self, consistent3):
+        a = generate("random", 4, seed=0)
+        cone = efficiency_cone(a, HamiltonianCycle.from_vertices((0, 2, 1, 3)))
+        for n in (3, 5):
+            with pytest.raises(ValueError):
+                cone.contains(fractions(*[1] * n))
+        unit = efficiency_cone(consistent3, identity_cycle(3))
+        with pytest.raises(ValueError):
+            unit.contains(fractions(1, 1, 1, 1))
 
 
 class TestResolveUnitCycle:
@@ -176,5 +189,5 @@ class TestResolveUnitCycle:
 
         a = unit_cycle_fixture(5, {2: (1, 2, Fraction(1, 2))})
         out = self.check(a)
-        _, below = enumerate_cycles(a)
+        below, _ = enumerate_cycles(a)
         assert out in below

@@ -9,7 +9,9 @@ from effvec import (
     CapExceededError,
     HamiltonianCycle,
     all_cycles,
+    consistent_matrix,
     convexity_report,
+    cycle_product,
     decompose,
     enumerate_cycles,
     generate,
@@ -40,27 +42,33 @@ class TestAllCycles:
 
 class TestEnumerateCycles:
     def test_circulant_counts(self, circulant4):
-        at_most, below = enumerate_cycles(circulant4)
-        assert len(below) == 1 and len(at_most) == 5
+        below, unit = enumerate_cycles(circulant4)
+        assert len(below) == 1 and len(unit) == 4
 
     def test_perturbed5_counts(self, perturbed5):
-        at_most, below = enumerate_cycles(perturbed5)
+        below, unit = enumerate_cycles(perturbed5)
         assert len(below) == 12
-        assert len(at_most) == 12  # no unit products
+        assert unit == ()
 
     def test_consistent_all_unit(self, consistent3):
-        at_most, below = enumerate_cycles(consistent3)
-        assert below == () and len(at_most) == 2
+        below, unit = enumerate_cycles(consistent3)
+        assert below == () and len(unit) == 2
+
+    def test_split_by_product_in_enumeration_order(self, circulant4, double4):
+        for a in (circulant4, double4, generate("random", 5, seed=3)):
+            below, unit = enumerate_cycles(a)
+            assert [c for c in all_cycles(a.n) if cycle_product(a, c) < 1] == list(below)
+            assert [c for c in all_cycles(a.n) if cycle_product(a, c) == 1] == list(unit)
 
     def test_below_cap_bound(self):
         # Half of all cycles at most, equality exactly when no unit products.
         for seed in range(12):
             for n in (3, 4, 5):
                 a = generate("random", n, seed=seed)
-                at_most, below = enumerate_cycles(a)
+                below, unit = enumerate_cycles(a)
                 bound = __import__("math").factorial(n - 1) // 2
                 assert len(below) <= bound
-                if len(at_most) == len(below):
+                if not unit:
                     assert len(below) == bound
 
 
@@ -101,6 +109,13 @@ class TestDecompose:
         assert cycle is not None
         assert proportional(w, consistent3.column(0))
         assert membership(d, fractions(1, 1, 1)) is None
+
+    def test_membership_rejects_wrong_length(self):
+        for a in (generate("random", 4, seed=0), consistent_matrix(fractions(1, 2, 3, 4))):
+            d = decompose(a)
+            for n in (3, 5):
+                with pytest.raises(ValueError):
+                    membership(d, fractions(*[1] * n))
 
     def test_cap_propagates(self):
         a = generate("random", 11, seed=1)

@@ -1,10 +1,13 @@
 """Dominance digraphs, strong connectivity, Hamiltonian cycles, certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import effvec.digraph
 from effvec import (
+    DominanceDigraph,
     HamiltonianCycle,
     build_digraph,
     exhaustive_hamiltonian,
@@ -31,11 +34,6 @@ class TestHamiltonianCycle:
     def test_edges_close_the_loop(self):
         c = HamiltonianCycle.from_vertices((0, 3, 2, 1))
         assert c.edges() == ((0, 3), (3, 2), (2, 1), (1, 0))
-
-    def test_reverse(self):
-        c = HamiltonianCycle.from_vertices((0, 3, 2, 1))
-        assert c.reverse().order == (0, 1, 2, 3)
-        assert c.reverse().reverse() == c
 
 
 class TestBuildDigraph:
@@ -128,6 +126,31 @@ class TestFindHamiltonianCycle:
         with pytest.raises(ValueError):
             find_hamiltonian_cycle(g)
 
+    def test_every_semicomplete_digraph_up_to_four(self):
+        # The construction runs no SCC pass of its own: it must return a
+        # valid cycle on every strong digraph and raise on every other one.
+        # Each pair is an edge one way, the other way, or both ways.
+        orientations = ((True, False), (False, True), (True, True))
+        seen = {True: 0, False: 0}
+        for n in (2, 3, 4):
+            pairs = list(itertools.combinations(range(n), 2))
+            for choice in itertools.product(orientations, repeat=len(pairs)):
+                adj = [[i == j for j in range(n)] for i in range(n)]
+                for (i, j), (forward, backward) in zip(pairs, choice):
+                    adj[i][j], adj[j][i] = forward, backward
+                g = DominanceDigraph(tuple(tuple(row) for row in adj))
+                strong, _ = strongly_connected(g)
+                seen[strong] += 1
+                if strong:
+                    cycle = find_hamiltonian_cycle(g)
+                    assert cycle.n == n
+                    assert all(g.has_edge(i, j) for i, j in cycle.edges())
+                else:
+                    with pytest.raises(ValueError):
+                        find_hamiltonian_cycle(g)
+        assert seen[True] + seen[False] == 3 + 27 + 729
+        assert seen[True] > 0 and seen[False] > 0
+
     def test_polynomial_on_adversarial_order(self):
         # A single consistent ray gives a digraph with exactly one cycle
         # through n vertices; insertion must still find it fast.
@@ -170,6 +193,20 @@ class TestIsEfficient:
     def test_rejects_wrong_length(self, consistent3):
         with pytest.raises(ValueError):
             is_efficient(consistent3, fractions(1, 1, 1, 1))
+
+    def test_one_scc_pass_per_certificate(self, monkeypatch, circulant4, double4):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return strongly_connected(g)
+
+        monkeypatch.setattr(effvec.digraph, "strongly_connected", counting)
+        cases = [(circulant4, circulant4.column(0), True), (double4, fractions(2, 4, 5, 4), False)]
+        for a, w, efficient in cases:
+            calls.clear()
+            assert is_efficient(a, w).efficient is efficient
+            assert len(calls) == 1
 
 
 class TestExhaustiveOracle:

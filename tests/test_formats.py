@@ -41,6 +41,11 @@ class TestParseMatrix:
         payload = {"n": 2, "rows": [["1", "1/3"], ["3", "1"]]}
         assert parse_matrix(json.dumps(payload)).entries[1][0] == 3
 
+    def test_json_decimals_read_as_text_decimals(self):
+        text = parse_matrix("2\n1 0.1\n10 1\n")
+        assert parse_matrix('{"n":2,"rows":[[1,0.1],[10,1]]}') == text
+        assert text.entries[0][1] == Fraction(1, 10)
+
     def test_error_location(self):
         with pytest.raises(ParseError, match="line 2, entry 2"):
             parse_matrix("2\n1 x\n1 1\n")
@@ -64,6 +69,9 @@ class TestVectors:
 
     def test_json_array(self):
         assert parse_vector('["1", "2/3"]') == fractions(1, "2/3")
+
+    def test_json_decimals_read_as_text_decimals(self):
+        assert parse_vector("[0.1, 1]") == parse_vector("0.1 1") == fractions("1/10", 1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized matrices and vectors."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -9,10 +10,10 @@ from effvec import (
     HamiltonianCycle,
     MonomialTransform,
     build_digraph,
-    cone_membership,
     consistent_matrix,
     cycle_product,
     decompose,
+    efficiency_cone,
     enumerate_cycles,
     format_matrix,
     format_vector,
@@ -110,7 +111,7 @@ def test_decomposition_membership_matches_certificate(pair, salt):
     cycle = membership(d, w)
     assert (cycle is not None) == is_efficient(a, w).efficient
     if cycle is not None and d.ray is None:
-        assert cone_membership(a, cycle, w)
+        assert efficiency_cone(a, cycle).contains(w)
 
 
 @given(matrix_and_vector())
@@ -124,7 +125,7 @@ def test_cone_closed_under_entrywise_products_of_squares(pair):
     fourth = ReciprocalMatrix.from_rows(
         [[x * x for x in row] for row in squared.entries]
     )
-    _, below = enumerate_cycles(squared)
+    below, _ = enumerate_cycles(squared)
     assume(below)
     cycle = below[0]
     from effvec import cone_extremes
@@ -132,14 +133,15 @@ def test_cone_closed_under_entrywise_products_of_squares(pair):
     extremes = cone_extremes(squared, cycle)
     u, v = extremes[0], extremes[-1]
     product = tuple(ui * vi for ui, vi in zip(u, v))
-    assert cone_membership(fourth, cycle, product)
+    assert efficiency_cone(fourth, cycle).contains(product)
 
 
 @given(matrix_and_vector())
 @settings(deadline=None, max_examples=80)
 def test_min_reversal_counts(pair):
     a, _ = pair
-    at_most, _ = enumerate_cycles(a)
+    below, unit = enumerate_cycles(a)
+    at_most = sorted(below + unit, key=lambda c: c.order)
     for cycle in at_most[:4]:
         vec, along = min_reversal_vector(a, cycle)
         has_above = any(a.entries[i][j] > 1 for i, j in cycle.edges())
@@ -191,6 +193,7 @@ def test_resolve_unit_cycle_on_random_fixtures(n, values):
 def test_consistent_matrices_have_unit_products(ws):
     a = consistent_matrix(tuple(ws))
     assert is_consistent(a)
-    at_most, below = enumerate_cycles(a)
+    below, unit = enumerate_cycles(a)
     assert below == ()
-    assert all(cycle_product(a, c) == 1 for c in at_most)
+    assert len(unit) == math.factorial(a.n - 1)
+    assert all(cycle_product(a, c) == 1 for c in unit)

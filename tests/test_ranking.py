@@ -10,8 +10,8 @@ from effvec import (
     HamiltonianCycle,
     column_vector,
     columns_common_cone,
-    cone_membership,
     consistent_matrix,
+    efficiency_cone,
     generate,
     is_efficient,
     normalize,
@@ -130,8 +130,9 @@ class TestColumnsCommonCone:
     def test_consistent_any_cycle(self, consistent3):
         cycle = columns_common_cone(consistent3)
         assert cycle is not None
+        cone = efficiency_cone(consistent3, cycle)
         for k in range(3):
-            assert cone_membership(consistent3, cycle, consistent3.column(k))
+            assert cone.contains(consistent3.column(k))
 
     def test_double4_first_cycle(self, double4):
         cycle = columns_common_cone(double4)

@@ -109,8 +109,8 @@ class TestMinReversalVector:
         for seed in range(20):
             n = rng.randint(3, 5)
             a = generate("random", n, seed=seed)
-            at_most, below = enumerate_cycles(a)
-            for cycle in at_most:
+            below, unit = enumerate_cycles(a)
+            for cycle in below + unit:
                 vec, along = min_reversal_vector(a, cycle)
                 product = cycle_product(a, cycle)
                 has_above = any(a.entries[i][j] > 1 for i, j in cycle.edges())
