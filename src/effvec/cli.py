@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         enumeration_cap=args.cap if args.cap is not None else DEFAULT_CYCLE_CAP,
-        spectral_tolerance=Fraction(args.tolerance) if args.tolerance else DEFAULT_TOLERANCE,
+        spectral_tolerance=parse_rational(args.tolerance) if args.tolerance else DEFAULT_TOLERANCE,
         sample_budget=args.budget if args.budget is not None else 1000,
         output="json" if args.json else "text",
         seed=args.seed if args.seed is not None else 0,

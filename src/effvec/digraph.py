@@ -8,6 +8,11 @@ exists for every pair (the digraph is semi-complete); ties contribute both.
 w is efficient (no other vector weakly improves every entrywise deviation
 from A, strictly somewhere) precisely when this digraph is strongly
 connected, equivalently when it carries a Hamiltonian cycle.
+
+Matrices and vectors stay ``Fraction`` at the interface.  Inside, each edge
+test clears denominators and compares integer products, using the integer
+numerator table every ``ReciprocalMatrix`` records when it is built; no
+Fraction arithmetic and no float takes part.
 """
 
 from __future__ import annotations
@@ -92,17 +97,29 @@ class EfficiencyCertificate:
 
 
 def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigraph:
-    """Exact dominance digraph of (a, w); ties yield edges in both directions."""
+    """Exact dominance digraph of (a, w); ties yield edges in both directions.
+
+    With w_i = p_i/q_i and a_ij = r_ij/s_ij, the edge i -> j holds exactly
+    when p_i*q_j*s_ij >= r_ij*p_j*q_i.  Reciprocity (a_ji = s_ij/r_ij) makes
+    the edge j -> i the reverse comparison of the same two products, so one
+    pair of products decides both edges.
+    """
     vec: Vec = as_weight_vector(w)
     n = a.n
     if len(vec) != n:
         raise ValueError(f"vector length {len(vec)} does not match matrix dimension {n}")
-    rows = []
+    p = [v.numerator for v in vec]
+    q = [v.denominator for v in vec]
+    num = a._numerators
+    adj = [[True] * n for _ in range(n)]
     for i in range(n):
-        ai = a.entries[i]
-        wi = vec[i]
-        rows.append(tuple(wi >= ai[j] * vec[j] for j in range(n)))
-    return DominanceDigraph(tuple(rows))
+        r, pi, qi, row = num[i], p[i], q[i], adj[i]
+        for j in range(i + 1, n):
+            forward = pi * q[j] * num[j][i]
+            backward = r[j] * p[j] * qi
+            row[j] = forward >= backward
+            adj[j][i] = backward >= forward
+    return DominanceDigraph(tuple(map(tuple, adj)))
 
 
 def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:

@@ -14,8 +14,8 @@ import json
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .cones import EfficiencyCone, efficiency_cone
-from .decomposition import Decomposition
+from .cones import EfficiencyCone
+from .decomposition import Decomposition, decompose
 from .digraph import EfficiencyCertificate, HamiltonianCycle
 from .errors import ParseError
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
@@ -191,25 +191,37 @@ def decomposition_to_json(d: Decomposition) -> dict:
     return out
 
 
+def _cone_from_json(entry: Any, where: str) -> tuple[HamiltonianCycle, Fraction, list[Vec]]:
+    if not isinstance(entry, dict) or not {"cycle", "product", "extremes"} <= entry.keys():
+        raise ParseError("a cone needs 'cycle', 'product' and 'extremes' fields", where)
+    extremes = [tuple(_rational_from_json(v, where) for v in ray) for ray in entry["extremes"]]
+    return cycle_from_json(entry["cycle"]), _rational_from_json(entry["product"], where), extremes
+
+
 def decomposition_from_json(payload: Any) -> Decomposition:
-    """Rebuild a decomposition; cone data is recomputed from its cycle and
-    cross-checked against the serialized product and extremes."""
+    """Rebuild a decomposition from its matrix and check that the serialized
+    cones (cycles in order, products and extremes), unit cycles and ray are
+    exactly those of the rebuilt one.  The rebuild runs under the default
+    cycle cap and raises CapExceededError beyond it."""
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ParseError("decomposition JSON needs a 'matrix' field", "decomposition")
-    matrix = matrix_from_json(payload["matrix"])
-    cones = []
-    for c, entry in enumerate(payload.get("cones", [])):
-        cycle = cycle_from_json(entry["cycle"])
-        cone = efficiency_cone(matrix, cycle)
+    d = decompose(matrix_from_json(payload["matrix"]))
+    cones = payload.get("cones", [])
+    stated = [_cone_from_json(entry, f"cone {c + 1}") for c, entry in enumerate(cones)]
+    if len(stated) != len(d.cones):
+        raise ParseError(f"expected {len(d.cones)} cones, found {len(stated)}", "cones")
+    for c, (cone, (cycle, product, extremes)) in enumerate(zip(d.cones, stated)):
         where = f"cone {c + 1}"
-        if format_rational(cone.product) != entry.get("product"):
+        if cycle != cone.cycle:
+            raise ParseError("serialized cycle disagrees with the matrix", where)
+        if product != cone.product:
             raise ParseError("serialized product disagrees with the matrix", where)
-        stated = [tuple(_rational_from_json(v, where) for v in ray) for ray in entry.get("extremes", [])]
-        if list(cone.extremes) != stated:
+        if extremes != list(cone.extremes):
             raise ParseError("serialized extremes disagree with the matrix", where)
-        cones.append(cone)
-    unit = tuple(cycle_from_json(c) for c in payload.get("unit_cycles", []))
-    ray = None
-    if "ray" in payload:
-        ray = tuple(_rational_from_json(v, "ray") for v in payload["ray"])
-    return Decomposition(matrix=matrix, cones=tuple(cones), unit_cycles=unit, ray=ray)
+    unit = [cycle_from_json(c) for c in payload.get("unit_cycles", [])]
+    if unit != list(d.unit_cycles):
+        raise ParseError("serialized unit cycles disagree with the matrix", "unit_cycles")
+    ray = tuple(_rational_from_json(v, "ray") for v in payload["ray"]) if "ray" in payload else None
+    if ray != d.ray:
+        raise ParseError("serialized ray disagrees with the matrix", "ray")
+    return d

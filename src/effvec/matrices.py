@@ -9,7 +9,7 @@ to 1 as the canonical representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -58,28 +58,38 @@ def proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
 
 @dataclass(frozen=True)
 class ReciprocalMatrix:
-    """Square positive matrix with unit diagonal and exact reciprocal symmetry."""
+    """Square positive matrix with unit diagonal and exact reciprocal symmetry.
+
+    ``_numerators[i][j]`` is the numerator of the reduced ``entries[i][j]``.
+    Reciprocity makes it the denominator of ``entries[j][i]`` as well, so
+    this one integer table lets edge and consistency tests run on integers.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
+        e = self.entries
+        n = len(e)
         if n < 2:
             raise ValueError("comparison matrices need dimension at least 2")
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(e):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             for j, value in enumerate(row):
                 if not isinstance(value, Fraction):
                     raise TypeError("matrix entries must be Fractions")
-                if value <= 0:
+                if value.numerator <= 0:
                     raise ValueError(f"entry ({i},{j}) is not positive")
+        num = tuple(tuple(value.numerator for value in row) for row in e)
         for i in range(n):
-            if self.entries[i][i] != 1:
+            if num[i][i] != 1 or e[i][i].denominator != 1:
                 raise ValueError(f"diagonal entry ({i},{i}) must equal 1")
             for j in range(i + 1, n):
-                if self.entries[i][j] * self.entries[j][i] != 1:
+                # Reduced fractions: a_ji == 1 / a_ij swaps numerator and denominator.
+                if num[j][i] != e[i][j].denominator or num[i][j] != e[j][i].denominator:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not reciprocal")
+        object.__setattr__(self, "_numerators", num)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | float | str | Fraction]]) -> "ReciprocalMatrix":
@@ -104,11 +114,13 @@ def consistent_matrix(w: Sequence[Fraction]) -> ReciprocalMatrix:
 def is_consistent(a: ReciprocalMatrix) -> bool:
     """True when every triple satisfies a_ij * a_jk == a_ik exactly."""
     n = a.n
-    e = a.entries
+    num = a._numerators
     # Reciprocity makes column-0 agreement equivalent to full transitivity.
+    # With a_ij = num[i][j] / num[j][i], the test a_i0 == a_ij * a_j0 is an
+    # integer cross-product equality, symmetric in i and j.
     for i in range(n):
-        for j in range(n):
-            if e[i][0] != e[i][j] * e[j][0]:
+        for j in range(i + 1, n):
+            if num[i][0] * num[j][i] * num[0][j] != num[i][j] * num[j][0] * num[0][i]:
                 return False
     return True
 

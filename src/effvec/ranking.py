@@ -66,8 +66,14 @@ def column_vector(a: ReciprocalMatrix, k: int) -> RankingCandidate:
 
 
 def _approx_root(value: Fraction, q: int, digits: int) -> Fraction:
-    scaled = (value.numerator * 10 ** (q * digits)) // value.denominator
-    return Fraction(nth_root_floor(scaled, q), 10**digits)
+    """The q-th root of value floored to ``digits`` decimals, with the
+    digits doubled until the floor is positive, so tiny roots stay weights."""
+    while True:
+        scaled = (value.numerator * 10 ** (q * digits)) // value.denominator
+        root = nth_root_floor(scaled, q)
+        if root:
+            return Fraction(root, 10**digits)
+        digits *= 2
 
 
 def weighted_geometric(
@@ -154,7 +160,12 @@ def _spectral_candidate(
             exact=True,
             residual=Fraction(0),
         )
-    matrix = np.array([[float(v) for v in row] for row in exact_rows])
+    try:
+        matrix = np.array([[float(v) for v in row] for row in exact_rows])
+    except OverflowError:
+        raise ValueError(
+            f"{method} power iteration needs entries within the float range (about 1.8e308)"
+        ) from None
     approx = _power_iteration(matrix, tolerance, max_iterations)
     vec = normalize(tuple(Fraction(float(value)) for value in approx))
     n = len(vec)

@@ -1,8 +1,8 @@
 """Exact rational scalars: parsing, formatting, and integer roots.
 
-All numeric work in this package runs on ``fractions.Fraction``.  Floats are
-accepted at the boundary and converted to the exact dyadic rational they
-denote, so no rounding ever happens after input.
+Every scalar in this package's interface is a ``fractions.Fraction``.
+Floats are accepted at the boundary and converted to the exact dyadic
+rational they denote, so no rounding ever happens after input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ __all__ = [
     "format_rational",
     "nth_root_exact",
     "nth_root_floor",
+    "MAX_DECIMAL_EXPONENT",
 ]
+
+MAX_DECIMAL_EXPONENT = 10_000
 
 
 def rationalize(value: int | float | str | Fraction) -> Fraction:
@@ -41,11 +44,19 @@ def rationalize(value: int | float | str | Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal: 'p/q', an integer, or a decimal string."""
+    """Parse a rational literal: 'p/q', an integer, or a decimal string.
+
+    A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude is
+    refused: the literal stays short while the value it denotes, and the
+    cost of building it, grows without bound.
+    """
     token = text.strip()
     if not token:
         raise ValueError("empty rational literal")
+    _, marker, exponent = token.lower().rpartition("e")
     try:
+        if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {token!r}") from exc

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, global flags."""
 
 import json
+import time
 
 import pytest
 
@@ -48,6 +49,21 @@ class TestCheck:
     def test_directory_exit_two(self, files, capsys):
         assert main(["check", str(files["tmp"]), files["column"]]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [
+            ("huge.txt", "2\n1 1e999999999\n1e-999999999 1\n"),
+            ("huge.json", '{"n": 2, "rows": [[1, 1e999999999], [1e-999999999, 1]]}'),
+        ],
+    )
+    def test_unbounded_exponent_exit_two(self, files, capsys, name, content):
+        path = files["tmp"] / name
+        path.write_text(content)
+        start = time.perf_counter()
+        assert main(["check", str(path), files["column"]]) == 2
+        assert time.perf_counter() - start < 1
+        assert "bad rational literal '1e999999999'" in capsys.readouterr().err
 
     def test_json_output(self, files, capsys):
         assert main(["check", files["circulant"], files["column"], "--json"]) == 0
@@ -188,6 +204,27 @@ class TestRank:
     def test_bad_weight_literal(self, files, capsys):
         assert main(["rank", files["circulant"], "--weights", "1/0,1,1,1"]) == 2
         assert "error: --weights: bad rational literal '1/0'" in capsys.readouterr().err
+        start = time.perf_counter()
+        assert main(["rank", files["circulant"], "--weights", "1e999999999,0,0,0"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "error: --weights: bad rational literal '1e999999999'" in capsys.readouterr().err
+
+    def test_large_ratios_reach_the_spectral_candidates(self, files, capsys):
+        # The geometric mean no longer floors a component to 0; the Perron
+        # iteration then meets |lambda_2| / lambda_1 = 1 - 6e-9 and reports it.
+        path = files["tmp"] / "ratios.txt"
+        path.write_text(f"3\n1 {10**25} 2\n1/{10**25} 1 3\n1/2 1/3 1\n")
+        assert main(["rank", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "power iteration did not converge" in err
+        assert "must be positive" not in err
+
+    def test_entries_beyond_float_range_exit_two(self, files, capsys):
+        path = files["tmp"] / "beyond.txt"
+        path.write_text("3\n1 1e400 2\n1e-400 1 3\n1/2 1/3 1\n")
+        assert main(["rank", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: perron power iteration needs entries within the float range" in err
 
 
 class TestGenerate:
@@ -225,6 +262,7 @@ class TestConfig:
     def test_bad_tolerance(self, files):
         assert main(["rank", files["circulant"], "--tolerance", "abc"]) == 2
         assert main(["rank", files["circulant"], "--tolerance", "0"]) == 2
+        assert main(["rank", files["circulant"], "--tolerance", "1e-999999999"]) == 2
 
     def test_bad_cap(self, files):
         assert main(["decompose", files["circulant"], "--cap", "2"]) == 2

@@ -25,6 +25,7 @@ from effvec.formats import (
     decomposition_from_json,
     decomposition_to_json,
 )
+from effvec.generators import KINDS
 from helpers import fractions
 
 
@@ -114,6 +115,35 @@ class TestRoundTrips:
             assert rebuilt.cones == d.cones
             assert rebuilt.unit_cycles == d.unit_cycles
             assert rebuilt.ray == d.ray
+
+    def test_decomposition_round_trip_every_kind(self):
+        for kind in KINDS:
+            for n in range(2 if kind in ("consistent", "random") else 3, 7):
+                d = decompose(generate(kind, n, seed=n))
+                payload = json.loads(json.dumps(decomposition_to_json(d)))
+                assert decomposition_from_json(payload) == d
+
+    def test_decomposition_dropped_cone_detected(self):
+        payload = decomposition_to_json(decompose(generate("random", 4, seed=0)))
+        del payload["cones"][0]
+        with pytest.raises(ParseError, match="cones"):
+            decomposition_from_json(payload)
+
+    def test_decomposition_extra_unit_cycle_detected(self, circulant4):
+        payload = decomposition_to_json(decompose(circulant4))
+        payload["unit_cycles"].append([1, 2, 3, 4])
+        with pytest.raises(ParseError, match="unit cycles"):
+            decomposition_from_json(payload)
+
+    def test_decomposition_wrong_ray_detected(self, circulant4, consistent3):
+        payload = decomposition_to_json(decompose(consistent3))
+        payload["ray"] = ["1", "2", "2"]
+        with pytest.raises(ParseError, match="ray"):
+            decomposition_from_json(payload)
+        payload = decomposition_to_json(decompose(circulant4))
+        payload["ray"] = ["1", "1", "1", "1"]
+        with pytest.raises(ParseError, match="ray"):
+            decomposition_from_json(payload)
 
     def test_decomposition_tamper_detected(self, circulant4):
         payload = decomposition_to_json(decompose(circulant4))

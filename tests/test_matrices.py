@@ -42,12 +42,15 @@ class TestWeightVectors:
 
 class TestReciprocalMatrix:
     def test_validates_reciprocity(self):
-        with pytest.raises(ValueError):
-            matrix_of([[1, 2], [3, 1]])
+        message = r"^entries \(0,1\) and \(1,0\) are not reciprocal$"
+        for a01, a10 in ((2, 3), (2, Fraction(1, 3)), (Fraction(2, 3), Fraction(3, 4))):
+            with pytest.raises(ValueError, match=message):
+                matrix_of([[1, a01], [a10, 1]])
 
     def test_validates_diagonal(self):
-        with pytest.raises(ValueError):
-            matrix_of([[2, 2], [Fraction(1, 2), 1]])
+        for diagonal in (2, Fraction(1, 2)):
+            with pytest.raises(ValueError, match=r"^diagonal entry \(0,0\) must equal 1$"):
+                matrix_of([[diagonal, 2], [Fraction(1, 2), 1]])
 
     def test_validates_square(self):
         with pytest.raises(ValueError):

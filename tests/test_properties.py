@@ -1,5 +1,6 @@
 """Property-based invariants over randomized matrices and vectors."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from effvec import (
     enumerate_cycles,
     format_matrix,
     format_vector,
+    generate,
     is_consistent,
     is_efficient,
     membership,
@@ -28,6 +30,7 @@ from effvec import (
     resolve_unit_cycle,
     transform_vector,
 )
+from effvec.generators import KINDS
 from effvec.matrices import ReciprocalMatrix
 from helpers import identity_cycle
 
@@ -74,6 +77,62 @@ def test_digraph_semicomplete(pair):
     for i in range(a.n):
         for j in range(i + 1, a.n):
             assert g.has_edge(i, j) or g.has_edge(j, i)
+
+
+_PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+VECTOR_KINDS = ("column", "palette", "float", "subset", "coprime")
+
+
+@st.composite
+def generated_matrix_and_vector(draw):
+    """A generator-kind matrix with n = 2..12 and a vector of one of five kinds:
+    a column (ties on every edge), palette quotients p/q with p, q <= 9,
+    float-derived (53-bit dyadic denominators), palette scaled up on an
+    index subset, and pairwise-coprime denominators."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2 if kind in ("consistent", "random") else 3, 12))
+    a = generate(kind, n, seed=draw(st.integers(0, 10**6)))
+    vector_kind = draw(st.sampled_from(VECTOR_KINDS))
+    palette = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    if vector_kind == "column":
+        w = a.column(draw(st.integers(0, n - 1)))
+    elif vector_kind == "palette":
+        w = tuple(draw(st.lists(palette, min_size=n, max_size=n)))
+    elif vector_kind == "float":
+        factors = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        column = a.column(draw(st.integers(0, n - 1)))
+        w = tuple(Fraction(float(c) * f) for c, f in zip(column, factors))
+    elif vector_kind == "subset":
+        base = draw(st.lists(palette, min_size=n, max_size=n))
+        subset = draw(st.sets(st.integers(0, n - 1)))
+        w = tuple(v * 1000 if i in subset else v for i, v in enumerate(base))
+    else:
+        denominators = draw(st.lists(st.sampled_from(_PRIMES), min_size=n, max_size=n, unique=True))
+        numerators = draw(st.lists(st.integers(1, 2**53), min_size=n, max_size=n))
+        w = tuple(Fraction(p, q) for p, q in zip(numerators, denominators))
+    assume(all(v > 0 for v in w))
+    return a, w
+
+
+@given(generated_matrix_and_vector())
+@settings(deadline=None, max_examples=300)
+def test_integer_edge_test_matches_fraction_definition(pair):
+    a, w = pair
+    g = build_digraph(a, w)
+    for i in range(a.n):
+        for j in range(a.n):
+            assert g.has_edge(i, j) == (w[i] >= a.entries[i][j] * w[j])
+
+
+@given(generated_matrix_and_vector())
+@settings(deadline=None, max_examples=100)
+def test_integer_consistency_test_matches_fraction_definition(pair):
+    a, _ = pair
+    e = a.entries
+    n = a.n
+    triples = itertools.product(range(n), repeat=3)
+    transitive = all(e[i][j] * e[j][k] == e[i][k] for i, j, k in triples)
+    assert is_consistent(a) == transitive
 
 
 @given(matrix_vector_transform())

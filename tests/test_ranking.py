@@ -88,6 +88,29 @@ class TestWeightedGeometric:
         assert failures[12] == 0
 
 
+def _large_ratio_matrix(exponent: int):
+    big = Fraction(10**exponent)
+    return matrix_of([[1, big, 2], [1 / big, 1, 3], [Fraction(1, 2), Fraction(1, 3), 1]])
+
+
+class TestLargeRatios:
+    @pytest.mark.parametrize("exponent", [25, 400])
+    def test_geometric_components_stay_positive(self, exponent):
+        # The middle component is about 10**(-2 * exponent / 3), far below the
+        # default 10**-14 grid of the approximate root.
+        a = _large_ratio_matrix(exponent)
+        c = weighted_geometric(a)
+        assert all(v > 0 for v in c.vector)
+        assert not c.exact
+        assert c.certificate == is_efficient(a, c.vector)
+
+    def test_spectral_beyond_float_range_is_a_value_error(self):
+        a = _large_ratio_matrix(400)
+        for method in (perron_vector, singular_vector):
+            with pytest.raises(ValueError, match="float range"):
+                method(a)
+
+
 class TestSpectral:
     def test_circulant_exact_fixed_point(self, circulant4):
         for candidate in (perron_vector(circulant4), singular_vector(circulant4)):

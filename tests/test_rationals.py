@@ -1,10 +1,12 @@
 """Exact rational helpers: conversion, parsing, formatting, integer roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from effvec.rationals import (
+    MAX_DECIMAL_EXPONENT,
     format_rational,
     nth_root_exact,
     nth_root_floor,
@@ -48,6 +50,18 @@ class TestParseFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("one half")
+
+    def test_parse_large_exponents_exactly(self):
+        assert parse_rational("1e300") == 10**300
+        assert parse_rational("1E-300") == Fraction(1, 10**300)
+        assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "2.5E+1_000_000", "1e10001"])
+    def test_parse_refuses_unbounded_exponents(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1
 
     def test_format_round_trip(self):
         for value in (Fraction(3, 4), Fraction(-2), Fraction(7), Fraction(1, 10**12)):
