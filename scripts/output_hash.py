@@ -6,10 +6,11 @@ Prints the number of results and the SHA-256 of their canonical text.  Two
 checkouts that print the same hash give identical outputs on the corpus, so
 a refactor of the exact core can be checked against its parent commit.  The
 corpus uses only calls whose signatures and return shapes are stable:
-``decompose`` (cones and unit cycles, in order), ``membership`` on random
-vectors and on columns, ``is_efficient`` up to n = 150,
-``columns_common_cone``, ``detect_column_perturbed`` and
-``convexity_report``.
+``decompose`` (cones and unit cycles, in order), ``min_reversal_vector``
+for every cone, ``efficiency_cone`` and ``count_reversals`` (on the cone's
+ray) for every unit cycle, ``membership`` on random vectors and on columns,
+``is_efficient`` up to n = 150, ``columns_common_cone``,
+``detect_column_perturbed`` and ``convexity_report``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ import random
 from effvec import (
     columns_common_cone,
     convexity_report,
+    count_reversals,
     decompose,
     detect_column_perturbed,
+    efficiency_cone,
     generate,
     is_efficient,
     membership,
+    min_reversal_vector,
     random_weight_vector,
 )
 from effvec.generators import KINDS
@@ -51,6 +55,21 @@ def corpus():
                     extremes = " | ".join(_vec(e) for e in cone.extremes)
                     yield f"{tag} cone {_cycle(cone.cycle)} {cone.product} {cone.singleton} {extremes}"
                 yield f"{tag} unit " + " ".join(_cycle(c) for c in d.unit_cycles)
+                for cone in d.cones:
+                    vec, along = min_reversal_vector(a, cone.cycle)
+                    yield f"{tag} min-reversal {_cycle(cone.cycle)} {_vec(vec)} {along}"
+                for cycle in d.unit_cycles:
+                    cone = efficiency_cone(a, cycle)
+                    extremes = " | ".join(_vec(e) for e in cone.extremes)
+                    yield (
+                        f"{tag} unit-cone {_cycle(cycle)} {cone.product} {cone.singleton} "
+                        f"{extremes}"
+                    )
+                    report = count_reversals(a, cone.extremes[0], cycle)
+                    yield (
+                        f"{tag} unit-reversals {_cycle(cycle)} {report.pairs} "
+                        f"{report.along_cycle}"
+                    )
                 for k in range(n):
                     yield f"{tag} column {k} {_cycle(membership(d, a.column(k)))}"
                 for _ in range(10):

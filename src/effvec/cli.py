@@ -10,6 +10,8 @@ enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import sys
@@ -576,8 +578,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # The report is rendered in full before any of it is written, so a
+    # command that fails part way leaves stdout empty.
+    report = io.StringIO()
     try:
-        return args.func(args, config)
+        with contextlib.redirect_stdout(report):
+            code = args.func(args, config)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -593,6 +599,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(report.getvalue())
+    return code
 
 
 def entry() -> None:

@@ -6,6 +6,13 @@ edge, ``w[i] >= a[i][j] * w[j]``.  These cones are the building blocks of the
 efficient set.  The product of the matrix entries along the cycle controls
 the shape: product < 1 gives a full set of extreme rays, product = 1
 collapses the cone to a single ray, and product > 1 empties it.
+
+Everything about one cycle comes from a single chain of integer prefix
+products, read from the numerator table of the matrix: the product, its
+comparison with 1, and the extreme rays.  The ray that leaves edge k slack
+is the same chain of prefix products scaled by the cycle product beyond
+position k, so the n rays are rotations of one chain and share 2n
+Fractions; no Fraction arithmetic decides anything.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .digraph import HamiltonianCycle
-from .matrices import ReciprocalMatrix, Vec, as_weight_vector, is_consistent, normalize
+from .matrices import ReciprocalMatrix, Vec, as_weight_vector, is_consistent
 
 __all__ = [
     "EfficiencyCone",
@@ -34,29 +41,76 @@ def cycle_entries(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Fractio
     return tuple(a.entries[i][j] for i, j in cycle.edges())
 
 
+def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int]]:
+    """Prefix products along ``cycle.order``, read from the integer table.
+
+    With e_t = r_t/s_t the entry on edge t, returns R and S with
+    R[t] = r_0*...*r_(t-1) and S[t] = s_0*...*s_(t-1) for t = 0..n, so the
+    prefix product is P_t = R[t]/S[t] and the cycle product is R[n]/S[n].
+    """
+    if cycle.n != a.n:
+        raise ValueError("cycle length does not match matrix dimension")
+    num = a._numerators
+    order = cycle.order
+    R, S = [1], [1]
+    r = s = 1
+    for src, dst in zip(order, order[1:] + order[:1]):
+        r *= num[src][dst]
+        s *= num[dst][src]
+        R.append(r)
+        S.append(s)
+    return R, S
+
+
+def _ray(order: Sequence[int], R: list[int], S: list[int], omit: int) -> Vec:
+    """The chain solution with edge ``omit`` left out, from the prefix products.
+
+    Solving every other edge as an equality gives 1/P_j at cycle positions
+    j <= omit and Pi/P_j beyond, with Pi = R[n]/S[n].  Position 0 holds
+    vertex 0 with P_0 = 1, so the vector is already canonical.
+    """
+    n = len(order)
+    w: list[Fraction] = [Fraction(0)] * n
+    for j, v in enumerate(order):
+        w[v] = Fraction(S[j], R[j]) if j <= omit else Fraction(R[n] * S[j], S[n] * R[j])
+    return tuple(w)
+
+
+def _extremes(order: Sequence[int], R: list[int], S: list[int]) -> tuple[Vec, ...]:
+    """All extreme rays, in the order of the omitted edge, from one chain.
+
+    The ray omitting edge k agrees with the ray omitting the last edge at
+    positions j <= k and with the ray omitting edge 0 beyond, so the n rays
+    share 2n Fractions.  They are pairwise distinct exactly when the cycle
+    product differs from 1; at product 1 they all coincide.
+    """
+    n = len(order)
+    if R[n] > S[n]:
+        raise ValueError("cycle product exceeds 1; the cone is empty")
+    inverse = _ray(order, R, S, n - 1)
+    if R[n] == S[n]:
+        return (inverse,)
+    w = list(_ray(order, R, S, 0))
+    rays = []
+    for v in order:
+        w[v] = inverse[v]
+        rays.append(tuple(w))
+    return tuple(rays)
+
+
 def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     """Product of the matrix entries along the cycle."""
-    product = Fraction(1)
-    for value in cycle_entries(a, cycle):
-        product *= value
-    return product
+    R, S = _chain(a, cycle)
+    return Fraction(R[-1], S[-1])
 
 
 def chain_solution(a: ReciprocalMatrix, cycle: HamiltonianCycle, omit: int) -> Vec:
     """Solve all cycle-edge inequalities as equalities except the omitted one.
 
-    Dropping one edge leaves a chain that determines the vector up to scale;
-    back-substitution fills it in.  Result is normalized canonically.
+    Dropping one edge leaves a chain that determines the vector up to scale.
+    Result is normalized canonically.
     """
-    order = cycle.order
-    n = cycle.n
-    w = [Fraction(0)] * n
-    w[order[(omit + 1) % n]] = Fraction(1)
-    for t in range(omit + 1, omit + n):
-        src = order[t % n]
-        dst = order[(t + 1) % n]
-        w[dst] = w[src] / a.entries[src][dst]
-    return normalize(w)
+    return _ray(cycle.order, *_chain(a, cycle), omit % cycle.n)
 
 
 def cone_extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
@@ -66,15 +120,7 @@ def cone_extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ..
     omitted edge; when the cycle product is at most 1 the omitted inequality
     holds automatically and the rays span the cone.
     """
-    product = cycle_product(a, cycle)
-    if product > 1:
-        raise ValueError("cycle product exceeds 1; the cone is empty")
-    rays: list[Vec] = []
-    for omit in range(cycle.n):
-        ray = chain_solution(a, cycle, omit)
-        if ray not in rays:
-            rays.append(ray)
-    return tuple(rays)
+    return _extremes(cycle.order, *_chain(a, cycle))
 
 
 @dataclass(frozen=True)
@@ -101,8 +147,9 @@ class EfficiencyCone:
 
 def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyCone:
     """Assemble the cone record for a cycle with product at most 1."""
-    extremes = cone_extremes(a, cycle)  # raises when the product exceeds 1
-    product = cycle_product(a, cycle)
+    R, S = _chain(a, cycle)
+    extremes = _extremes(cycle.order, R, S)  # raises when the product exceeds 1
+    product = Fraction(R[-1], S[-1])
     inequalities = tuple((i, j, a.entries[i][j]) for i, j in cycle.edges())
     return EfficiencyCone(
         cycle=cycle,

@@ -12,13 +12,14 @@ digraph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cones import EfficiencyCone, cycle_product, efficiency_cone
+from .cones import EfficiencyCone, _chain, efficiency_cone
 from .digraph import HamiltonianCycle, build_digraph, is_efficient
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
@@ -53,15 +54,17 @@ def enumerate_cycles(
 
     The two tuples are disjoint and each keeps enumeration order.  Cycles at
     product exactly 1 come with their reversals, which also sit at 1; cycles
-    above 1 are the reversals of the sub-unit ones and are dropped.
+    above 1 are the reversals of the sub-unit ones and are dropped.  Each
+    product is compared with 1 as its integer numerator against its
+    denominator.
     """
     below_one: list[HamiltonianCycle] = []
     unit: list[HamiltonianCycle] = []
     for cycle in all_cycles(a.n, cap):
-        product = cycle_product(a, cycle)
-        if product < 1:
+        R, S = _chain(a, cycle)
+        if R[-1] < S[-1]:
             below_one.append(cycle)
-        elif product == 1:
+        elif R[-1] == S[-1]:
             unit.append(cycle)
     return tuple(below_one), tuple(unit)
 
@@ -102,10 +105,11 @@ def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | No
     """
     g = build_digraph(d.matrix, w)
     if d.ray is not None:
-        cycles = [HamiltonianCycle(tuple(range(d.matrix.n)))]
-    else:
-        cycles = [cone.cycle for cone in d.cones]
-    return next((c for c in cycles if all(g.has_edge(i, j) for i, j in c.edges())), None)
+        cycle = HamiltonianCycle(tuple(range(d.matrix.n)))
+        return cycle if all(g.has_edge(i, j) for i, j in cycle.edges()) else None
+    return next(
+        (c.cycle for c in d.cones if all(g.has_edge(i, j) for i, j, _ in c.inequalities)), None
+    )
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,11 @@ def convexity_report(d: Decomposition, samples: int = 1000, seed: int = 0) -> Co
             return ConvexityReport(verdict="non_convex", reason="witness", witness=(u, v, t))
         return None
 
-    cone_pairs = list(itertools.combinations(range(len(d.cones)), 2))
-    total = len(_BLEND_WEIGHTS) * sum(
-        len(d.cones[i].extremes) * len(d.cones[j].extremes) for i, j in cone_pairs
-    )
+    # Blends over all pairs of cones: sum of s_i * s_j over i < j, in O(cones).
+    sizes = [len(cone.extremes) for cone in d.cones]
+    total = len(_BLEND_WEIGHTS) * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
     if total <= samples:
-        for i, j in cone_pairs:
+        for i, j in itertools.combinations(range(len(d.cones)), 2):
             for u in d.cones[i].extremes:
                 for v in d.cones[j].extremes:
                     for t in _BLEND_WEIGHTS:
@@ -162,9 +165,17 @@ def convexity_report(d: Decomposition, samples: int = 1000, seed: int = 0) -> Co
                         if found:
                             return found
     else:
+        # Draw the index of a pair (i, j), i < j, in lexicographic order and
+        # decode it; row i starts at starts[i].  choice() over the range
+        # draws as it would over the list of pairs, without building it.
+        m = len(d.cones)
+        starts = [i * m - i * (i + 1) // 2 for i in range(m)]
+        pair_indices = range(m * (m - 1) // 2)
         rng = random.Random(seed)
         for _ in range(samples):
-            i, j = rng.choice(cone_pairs)
+            k = rng.choice(pair_indices)
+            i = bisect.bisect_right(starts, k) - 1
+            j = i + 1 + k - starts[i]
             u = rng.choice(d.cones[i].extremes)
             v = rng.choice(d.cones[j].extremes)
             found = test(u, v, rng.choice(_BLEND_WEIGHTS))

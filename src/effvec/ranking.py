@@ -65,6 +65,18 @@ def column_vector(a: ReciprocalMatrix, k: int) -> RankingCandidate:
     )
 
 
+def _decimal_places(tolerance: Fraction) -> int:
+    """Smallest d >= 0 with tolerance >= 10**-d, on the integer numerator
+    and denominator, so a tolerance below the float range still counts."""
+    p, q = tolerance.numerator, tolerance.denominator
+    # log10(q/p) > (q.bit_length() - p.bit_length() - 1) * log10(2), so the
+    # start is below the answer and the loop takes a few steps.
+    d = max(0, (q.bit_length() - p.bit_length()) * 30102 // 100000 - 1)
+    while p * 10**d < q:
+        d += 1
+    return d
+
+
 def _approx_root(value: Fraction, q: int, digits: int) -> Fraction:
     """The q-th root of value floored to ``digits`` decimals, with the
     digits doubled until the floor is positive, so tiny roots stay weights."""
@@ -100,7 +112,7 @@ def weighted_geometric(
 
     q = math.lcm(*(t.denominator for t in weights))
     numerators = [t.numerator * (q // t.denominator) for t in weights]
-    digits = max(2, int(math.ceil(-math.log10(float(tolerance)))) + 2)
+    digits = _decimal_places(tolerance) + 2
 
     components: list[Fraction] = []
     exact = True

@@ -8,6 +8,7 @@ rational they denote, so no rounding ever happens after input.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -63,10 +64,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Format as 'p/q', or plain 'p' for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Format as 'p/q', or plain 'p' for integers.
+
+    Python refuses to turn an integer of more than
+    ``sys.get_int_max_str_digits()`` digits (4300 by default) into text; such
+    a value raises ``ValueError`` naming that limit.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"output number exceeds the {limit}-digit limit for printing integers"
+        ) from None
 
 
 def nth_root_floor(x: int, n: int) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import cycle_entries, cycle_product, chain_solution
+from .cones import _chain, _ray
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 
@@ -36,16 +36,28 @@ class ReversalReport:
         return len(self.pairs)
 
 
-def _classify(a_ij: Fraction, wi: Fraction, wj: Fraction) -> str | None:
-    if a_ij == 1:
-        return TIE_BROKEN if wi != wj else None
-    if wi == wj:
+def _classify(
+    num: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int], i: int, j: int
+) -> str | None:
+    """Reversal kind of the pair (i, j), or None; symmetric in i and j.
+
+    With a_ij = num[i][j]/num[j][i] and w_i = p_i/q_i, comparing a_ij with 1
+    and w_i with w_j are integer comparisons.
+    """
+    r, s = num[i][j], num[j][i]
+    x, y = p[i] * q[j], p[j] * q[i]
+    if r == s:
+        return TIE_BROKEN if x != y else None
+    if x == y:
         return TIE_FORCED
-    if a_ij < 1 and wi > wj:
-        return STRICT_FLIP
-    if a_ij > 1 and wi < wj:
-        return STRICT_FLIP
-    return None
+    return STRICT_FLIP if (r < s) == (x > y) else None
+
+
+def _along(num: Sequence[Sequence[int]], w: Vec, cycle: HamiltonianCycle) -> int:
+    """How many cycle edges join a reversing pair."""
+    p = [v.numerator for v in w]
+    q = [v.denominator for v in w]
+    return sum(1 for i, j in cycle.edges() if _classify(num, p, q, i, j) is not None)
 
 
 def count_reversals(
@@ -60,18 +72,20 @@ def count_reversals(
     n = a.n
     if len(vec) != n:
         raise ValueError("vector length does not match matrix dimension")
+    p = [v.numerator for v in vec]
+    q = [v.denominator for v in vec]
+    num = a._numerators
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
-            kind = _classify(a.entries[i][j], vec[i], vec[j])
+            kind = _classify(num, p, q, i, j)
             if kind is not None:
                 pairs.append((i, j, kind))
     along = None
     if cycle is not None:
         if cycle.n != n:
             raise ValueError("cycle length does not match matrix dimension")
-        reversing = {(min(i, j), max(i, j)) for i, j, _ in pairs}
-        along = sum(1 for i, j in cycle.edges() if (min(i, j), max(i, j)) in reversing)
+        along = _along(num, vec, cycle)
     return ReversalReport(pairs=tuple(pairs), along_cycle=along)
 
 
@@ -84,13 +98,15 @@ def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[V
     the cycle product equals 1; otherwise it is 1, and no vector of the cone
     does better.
     """
-    product = cycle_product(a, cycle)
-    if product > 1:
+    R, S = _chain(a, cycle)
+    if R[-1] > S[-1]:
         raise ValueError("cycle product exceeds 1; the cone is empty")
-    entries = cycle_entries(a, cycle)
-    top = max(entries)
-    wrap = min(t for t, value in enumerate(entries) if value == top)
-    vec = chain_solution(a, cycle, omit=wrap)
-    report = count_reversals(a, vec, cycle)
-    assert report.along_cycle is not None
-    return vec, report.along_cycle
+    # The first largest entry r_t/s_t along the cycle, by cross products.
+    num, order = a._numerators, cycle.order
+    edges = [(num[i][j], num[j][i]) for i, j in zip(order, order[1:] + order[:1])]
+    wrap = 0
+    for t, (r, s) in enumerate(edges):
+        if r * edges[wrap][1] > edges[wrap][0] * s:
+            wrap = t
+    vec = _ray(order, R, S, wrap)
+    return vec, _along(num, vec, cycle)

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
-from effvec import HamiltonianCycle, ReciprocalMatrix, Vec
+from effvec import (
+    Decomposition,
+    HamiltonianCycle,
+    ReciprocalMatrix,
+    Vec,
+    is_efficient,
+    normalize,
+    proportional,
+)
 
 
 def solve_linear(columns: list[Vec], target: Vec) -> list[Fraction] | None:
@@ -79,3 +89,116 @@ def identity_cycle(n: int) -> HamiltonianCycle:
 
 def fractions(*values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
+
+
+# --- Fraction references for the integer cycle kernel ---------------------
+
+
+def chain_solution_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle, omit: int) -> Vec:
+    """Back-substitution along the cycle with edge ``omit`` left slack.
+
+    Sets the vertex after the omitted edge to 1, divides by each entry in
+    turn around the cycle, then normalizes: the Fraction loop the library
+    replaced by prefix products.
+    """
+    order = cycle.order
+    n = cycle.n
+    w = [Fraction(0)] * n
+    w[order[(omit + 1) % n]] = Fraction(1)
+    for t in range(omit + 1, omit + n):
+        src = order[t % n]
+        dst = order[(t + 1) % n]
+        w[dst] = w[src] / a.entries[src][dst]
+    return normalize(w)
+
+
+def cycle_product_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
+    product = Fraction(1)
+    for i, j in cycle.edges():
+        product *= a.entries[i][j]
+    return product
+
+
+def cone_extremes_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
+    """One back-substituted ray per omitted edge, duplicates dropped."""
+    rays: list[Vec] = []
+    for omit in range(cycle.n):
+        ray = chain_solution_reference(a, cycle, omit)
+        if ray not in rays:
+            rays.append(ray)
+    return tuple(rays)
+
+
+def _classify_reference(a_ij: Fraction, wi: Fraction, wj: Fraction) -> str | None:
+    if a_ij == 1:
+        return "tie-broken" if wi != wj else None
+    if wi == wj:
+        return "tie-forced"
+    if a_ij < 1 and wi > wj:
+        return "strict-flip"
+    if a_ij > 1 and wi < wj:
+        return "strict-flip"
+    return None
+
+
+def count_reversals_reference(
+    a: ReciprocalMatrix, w: Vec, cycle: HamiltonianCycle | None = None
+) -> tuple[tuple[tuple[int, int, str], ...], int | None]:
+    """(pairs, along_cycle) of the reversal scan, compared as Fractions."""
+    n = a.n
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = _classify_reference(a.entries[i][j], w[i], w[j])
+            if kind is not None:
+                pairs.append((i, j, kind))
+    along = None
+    if cycle is not None:
+        reversing = {(min(i, j), max(i, j)) for i, j, _ in pairs}
+        along = sum(1 for i, j in cycle.edges() if (min(i, j), max(i, j)) in reversing)
+    return tuple(pairs), along
+
+
+def min_reversal_vector_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, int]:
+    """Omit the first largest entry, back-substitute, count along the cycle."""
+    entries = [a.entries[i][j] for i, j in cycle.edges()]
+    top = max(entries)
+    wrap = min(t for t, value in enumerate(entries) if value == top)
+    vec = chain_solution_reference(a, cycle, wrap)
+    along = count_reversals_reference(a, vec, cycle)[1]
+    assert along is not None
+    return vec, along
+
+
+def convexity_witness_reference(
+    d: Decomposition, samples: int, seed: int
+) -> tuple[Vec, Vec, Fraction] | None:
+    """The witness search of ``convexity_report`` over a materialized list
+    of all cone pairs: the first (u, v, t) whose blend is inefficient."""
+    weights = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    cone_pairs = list(itertools.combinations(range(len(d.cones)), 2))
+    total = len(weights) * sum(
+        len(d.cones[i].extremes) * len(d.cones[j].extremes) for i, j in cone_pairs
+    )
+
+    def inefficient(u: Vec, v: Vec, t: Fraction) -> bool:
+        blend = tuple(t * ui + (1 - t) * vi for ui, vi in zip(u, v))
+        return not proportional(u, v) and not is_efficient(d.matrix, blend).efficient
+
+    if total <= samples:
+        for i, j in cone_pairs:
+            for u in d.cones[i].extremes:
+                for v in d.cones[j].extremes:
+                    for t in weights:
+                        if inefficient(u, v, t):
+                            return u, v, t
+        return None
+    rng = random.Random(seed)
+    for _ in range(samples):
+        i, j = rng.choice(cone_pairs)
+        u = rng.choice(d.cones[i].extremes)
+        v = rng.choice(d.cones[j].extremes)
+        t = rng.choice(weights)
+        if inefficient(u, v, t):
+            return u, v, t
+    return None

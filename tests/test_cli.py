@@ -104,6 +104,17 @@ class TestDecompose:
         assert main(["decompose", files["consistent"]]) == 0
         assert "single ray" in capsys.readouterr().out
 
+    def test_output_beyond_digit_limit_writes_nothing(self, files, capsys):
+        # Valid entries whose extreme rays need more than 4300 digits: the
+        # report is refused whole, with the limit named.
+        path = files["tmp"] / "digits.txt"
+        path.write_text("3\n1 1e5000 2\n1e-5000 1 3\n1/2 1/3 1\n")
+        assert main(["decompose", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4300-digit limit" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+
     def test_cap_exit_three(self, files, tmp_path, capsys):
         from effvec import generate
 
@@ -225,6 +236,15 @@ class TestRank:
         assert main(["rank", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error: perron power iteration needs entries within the float range" in err
+
+    def test_tolerance_below_float_range(self, files, capsys):
+        # The Perron iteration cannot meet 1e-400 in floats and says so;
+        # the geometric mean's digit count no longer goes through a float.
+        code = main(["rank", files["circulant"], "--tolerance", "1e-400"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "math domain error" not in err
+        assert "power iteration did not converge" in err
 
 
 class TestGenerate:

@@ -21,7 +21,7 @@ from effvec import (
     proportional,
     random_weight_vector,
 )
-from helpers import fractions
+from helpers import convexity_witness_reference, fractions
 
 
 class TestAllCycles:
@@ -150,6 +150,22 @@ class TestConvexityReport:
             u, v, t = report.witness
             blend = tuple((1 - t) * ui + t * vi for ui, vi in zip(u, v))
             assert not is_efficient(perturbed5, blend).efficient
+
+    def test_witness_search_matches_pair_list(self):
+        # Sampled pairs are decoded from an index; the draws, and so the
+        # witness, must be those of a choice over the full list of pairs.
+        found = 0
+        for n in (4, 5, 6):
+            for kind in ("simple", "double", "column", "random"):
+                d = decompose(generate(kind, n, seed=n))
+                if len(d.cones) < 2:
+                    continue
+                for seed, samples in ((0, 3), (1, 30), (2, 300), (3, 5000)):
+                    expected = convexity_witness_reference(d, samples, seed)
+                    report = convexity_report(d, samples=samples, seed=seed)
+                    assert report.witness == expected
+                    found += expected is not None
+        assert found > 0
 
     def test_deterministic_under_seed(self, double4):
         d = decompose(double4)

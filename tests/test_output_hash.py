@@ -1,8 +1,10 @@
 """Exact outputs on the fixed corpus of scripts/output_hash.py stay identical.
 
-The corpus covers decompose, membership, is_efficient up to n = 150,
-columns_common_cone, detect_column_perturbed and convexity_report.  A
-change to the exact core that moves any of these outputs changes the hash.
+The corpus covers decompose, min_reversal_vector on every cone,
+efficiency_cone and count_reversals on every unit cycle, membership,
+is_efficient up to n = 150, columns_common_cone, detect_column_perturbed
+and convexity_report.  A change to the exact core that moves any of these
+outputs changes the hash.
 """
 
 import os
@@ -11,7 +13,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPECTED = "6270 results, sha256 5b758c138b0143ea469251d47414bf544bc6f888a3ec1f2db09f85f5f79a5b3a"
+EXPECTED = "14427 results, sha256 ae0612397d9e2183911501f6199a83290b7c5c13ee4bc07d980855686869d30b"
 
 
 def test_output_hash_unchanged():

@@ -87,6 +87,18 @@ class TestWeightedGeometric:
         assert failures[12] <= failures[4]
         assert failures[12] == 0
 
+    def test_tolerance_below_float_range(self, circulant4):
+        # 10**-400 turns into 0.0 as a float; the digit count comes from
+        # its integer denominator instead.
+        tolerance = Fraction(1, 10**400)
+        for a in (circulant4, generate("random", 5, seed=1)):
+            c = weighted_geometric(a, tolerance=tolerance)
+            assert c.method == "weighted-geometric"
+            assert c.certificate == is_efficient(a, c.vector)
+        # The inexact components sit on the grid of 402 decimals.
+        assert not c.exact
+        assert max(v.denominator for v in c.vector) == 10**402
+
 
 def _large_ratio_matrix(exponent: int):
     big = Fraction(10**exponent)
