@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from effvec import (
     decompose,
-    dominance_search,
     format_matrix,
     format_vector,
+    improve,
     is_efficient,
     probe,
     ReciprocalMatrix,
@@ -55,8 +55,9 @@ print("  (no arrow leaves the cut in the dominance digraph, so the chain of")
 print("   comparisons can never return, and some coordinate can be improved)")
 print()
 
-print("The improvement is constructive: a dominating vector exists.")
-better = dominance_search(a, w)
+print("The improvement is constructive: scale the cut down until a comparison")
+print("leaving it turns tight, and repeat until the certificate says efficient.")
+better = improve(a, w)
 check = probe(a, w, better)
-print(f"  dominator = [{format_vector(better)}]")
+print(f"  improve(a, w) = [{format_vector(better)}]: efficient = {is_efficient(a, better).efficient}")
 print(f"  every deviation <= original: {check.weak}; strictly better somewhere: {bool(check.strict_positions)}")

@@ -31,6 +31,7 @@ from .digraph import (
     HamiltonianCycle,
     build_digraph,
     find_hamiltonian_cycle,
+    improve,
     is_efficient,
     strongly_connected,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "format_rational",
     "format_vector",
     "generate",
+    "improve",
     "is_consistent",
     "is_efficient",
     "matrix_to_json",

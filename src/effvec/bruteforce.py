@@ -1,9 +1,11 @@
 """Brute-force cross-checks, independent of the graph criterion.
 
 These routines exist to validate the fast paths: a factorial Hamiltonian
-search over raw adjacency, and a dominance search that refutes efficiency
-straight from the definition.  A found dominator is always a sound
-refutation (it is re-validated entrywise); finding none proves nothing.
+search over raw adjacency, and an exponential subset-scaling search that
+refutes efficiency straight from the definition.  Both are oracles for
+small n only and refuse n above ``EXHAUSTIVE_LIMIT``.  A found dominator is
+always re-validated entrywise by ``probe``, and the subset search is
+complete: it finds a dominator exactly when one exists.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decomposition import DEFAULT_CYCLE_CAP, Decomposition, decompose
 from .digraph import DominanceDigraph, HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector, proportional
 
@@ -82,71 +83,32 @@ def probe(a: ReciprocalMatrix, base: Sequence[Fraction], candidate: Sequence[Fra
     )
 
 
-def _coordinate_candidates(a: ReciprocalMatrix, w: Vec) -> list[Vec]:
-    """Single-coordinate replacements onto the breakpoint grid a[i][j]*w[j]."""
-    n = a.n
-    out = []
-    for i in range(n):
-        values = sorted({a.entries[i][j] * w[j] for j in range(n) if j != i})
-        for value in values:
-            if value != w[i]:
-                out.append(tuple(value if t == i else w[t] for t in range(n)))
-    return out
+def dominance_search(a: ReciprocalMatrix, w: Sequence[Fraction]) -> Vec | None:
+    """A vector dominating w, found by scaling vertex subsets; None if none exists.
 
-
-def _subset_scaling_candidates(a: ReciprocalMatrix, w: Vec) -> list[Vec]:
-    """Scale each proper vertex subset by its tightest cross-pair factor.
-
-    For a subset T the factor max over i in T, j outside of a[i][j]*w[j]/w[i]
-    brings the closest cross inequality to equality; if T's cross pairs are
-    all slack in w, the scaled copy beats w entrywise.
+    w is inefficient exactly when some nonempty proper subset T has every
+    cross pair slack, ``w_i > a_ij * w_j`` for i in T and j outside.  Scaling
+    T by its tightest cross factor, the largest ``a_ij * w_j / w_i``, then
+    beats w entrywise.  So trying every subset in order of size is
+    complete; each candidate is validated by ``probe`` before it is
+    returned.  Refuses n above ``EXHAUSTIVE_LIMIT``.
     """
+    base = as_weight_vector(w)
     n = a.n
-    out = []
-    indices = range(n)
+    if len(base) != n:
+        raise ValueError("vector length does not match matrix dimension")
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive search limited to n <= {EXHAUSTIVE_LIMIT}")
+    e = a.entries
     for size in range(1, n):
-        for subset in itertools.combinations(indices, size):
+        for subset in itertools.combinations(range(n), size):
             inside = set(subset)
             factor = max(
-                a.entries[i][j] * w[j] / w[i] for i in subset for j in indices if j not in inside
+                e[i][j] * base[j] / base[i] for i in subset for j in range(n) if j not in inside
             )
             if factor == 1:
                 continue
-            out.append(tuple(w[t] * factor if t in inside else w[t] for t in range(n)))
-    return out
-
-
-def dominance_search(
-    a: ReciprocalMatrix,
-    w: Sequence[Fraction],
-    budget: int | None = None,
-    cap: int = DEFAULT_CYCLE_CAP,
-    decomposition: "Decomposition | None" = None,
-) -> Vec | None:
-    """Search for a vector dominating w; validated exactly before returning.
-
-    Candidates, in order: single-coordinate moves onto the breakpoint grid,
-    scaled copies of vertex subsets, then extreme rays of every sub-unit
-    cycle cone (computed only if reached; pass ``decomposition`` to reuse
-    one).  ``budget`` optionally limits how many candidates are probed.
-    Returns the first validated dominator, or None (which proves nothing).
-    """
-    base = as_weight_vector(w)
-    if len(base) != a.n:
-        raise ValueError("vector length does not match matrix dimension")
-
-    def candidates():
-        yield from _coordinate_candidates(a, base)
-        yield from _subset_scaling_candidates(a, base)
-        d = decomposition if decomposition is not None else decompose(a, cap)
-        for cone in d.cones:
-            yield from cone.extremes
-
-    tested = 0
-    for candidate in candidates():
-        if budget is not None and tested >= budget:
-            break
-        tested += 1
-        if probe(a, base, candidate).dominates:
-            return candidate
+            candidate = tuple(v * factor if t in inside else v for t, v in enumerate(base))
+            if probe(a, base, candidate).dominates:
+                return candidate
     return None

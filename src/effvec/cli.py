@@ -22,7 +22,7 @@ from typing import Sequence
 from .bruteforce import dominance_search, exhaustive_hamiltonian, probe
 from .cones import cycle_product
 from .decomposition import DEFAULT_CYCLE_CAP, convexity_report, decompose, membership
-from .digraph import HamiltonianCycle, is_efficient, strongly_connected, build_digraph
+from .digraph import HamiltonianCycle, build_digraph, improve, is_efficient, strongly_connected
 from .errors import CapExceededError, ConvergenceError, EffvecError, ParseError
 from .formats import (
     certificate_to_json,
@@ -436,24 +436,26 @@ def _cmd_self_check(args: argparse.Namespace, config: RunConfig) -> int:
     )
 
     before = len(failures)
-    searched = inefficient = dominated = 0
+    inefficient = dominated = 0
     for _ in range(trials):
         n = rng.randint(3, 5)
         a = generate("random", n, seed=rng.randrange(1 << 30))
         w = random_weight_vector(rng, n)
         efficient = is_efficient(a, w).efficient
-        searched += 1
-        dominator = dominance_search(a, w, budget=config.sample_budget)
-        if efficient and dominator is not None:
-            failures.append("dominator found for an efficient vector")
-        if not efficient:
-            inefficient += 1
-            if dominator is not None:
-                if not probe(a, w, dominator).dominates:
-                    failures.append("reported dominator fails validation")
-                dominated += 1
+        if efficient != (dominance_search(a, w) is None):
+            failures.append(f"dominator oracle disagrees with certificate on n={n}")
+        better = improve(a, w)
+        if efficient:
+            if better is not None:
+                failures.append(f"improve moved an efficient vector on n={n}")
+            continue
+        inefficient += 1
+        if better is None or not is_efficient(a, better).efficient or not probe(a, w, better).dominates:
+            failures.append(f"improved vector is not an efficient dominator on n={n}")
+        else:
+            dominated += 1
     print(
-        f"dominance: {searched} trials, {dominated}/{inefficient} inefficient "
+        f"dominance: {trials} trials, {dominated}/{inefficient} inefficient "
         f"dominated, {'ok' if len(failures) == before else 'FAIL'}"
     )
 
@@ -496,7 +498,7 @@ def _global_options(parser: argparse.ArgumentParser, sub: bool = False) -> None:
         type=int,
         default=default,
         metavar="B",
-        help="sample budget for randomized searches (default 1000)",
+        help="sample budget for the convexity search (default 1000)",
     )
 
 

@@ -1,4 +1,4 @@
-"""Dominance digraphs and the graph test for efficiency.
+"""Dominance digraphs, the graph test for efficiency, and dominators.
 
 For a comparison matrix A and weight vector w, the dominance digraph has an
 edge i -> j exactly when ``w[i] >= a[i][j] * w[j]``: the vector concedes at
@@ -7,7 +7,12 @@ exists for every pair (the digraph is semi-complete); ties contribute both.
 
 w is efficient (no other vector weakly improves every entrywise deviation
 from A, strictly somewhere) precisely when this digraph is strongly
-connected, equivalently when it carries a Hamiltonian cycle.
+connected, equivalently when it carries a Hamiltonian cycle.  Both
+witnesses are direct constructions on a semi-complete digraph: the strong
+components come from the score sequence, the cycle from path insertion.
+When w is inefficient, the source component is the cut of the certificate,
+and scaling it down until a crossing pair turns tight gives a dominating
+vector; ``improve`` repeats that until the vector is efficient.
 
 Matrices and vectors stay ``Fraction`` at the interface.  Inside, each edge
 test clears denominators and compares integer products, using the integer
@@ -32,6 +37,7 @@ __all__ = [
     "strongly_connected",
     "find_hamiltonian_cycle",
     "is_efficient",
+    "improve",
 ]
 
 
@@ -70,7 +76,13 @@ class HamiltonianCycle:
 
 @dataclass(frozen=True)
 class DominanceDigraph:
-    """Adjacency of the dominance relation; adjacency[i][j] is the edge i -> j."""
+    """Adjacency of the dominance relation; adjacency[i][j] is the edge i -> j.
+
+    The digraph must be semi-complete, with an edge in at least one
+    direction between every two vertices, as every digraph from
+    ``build_digraph`` is: ``strongly_connected`` and
+    ``find_hamiltonian_cycle`` rely on it.
+    """
 
     adjacency: tuple[tuple[bool, ...], ...]
 
@@ -123,48 +135,28 @@ def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigrap
 
 
 def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Kosaraju SCC test; components come back in topological order."""
-    n = g.n
+    """Strong components of a semi-complete digraph, in topological order.
+
+    Precondition: g is semi-complete (every digraph from ``build_digraph``
+    is); on other digraphs the result is meaningless.  Then
+    ``out(v) - in(v) + n - 1`` is twice the score of v, counting a win as 1
+    and a tie as 1/2.  A source set (no edge enters it) of size k holds
+    exactly the k top scorers, and the top k are a source set exactly when
+    their doubled scores sum to ``k(k-1) + 2k(n-k)`` (Landau's score
+    characterisation), so the components are the gaps between such
+    prefixes of the descending order.
+    """
     adj = g.adjacency
-
-    finish: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        seen[start] = True
-        while stack:
-            v, nxt = stack[-1]
-            advanced = False
-            for j in range(nxt, n):
-                if adj[v][j] and not seen[j] and j != v:
-                    stack[-1] = (v, j + 1)
-                    stack.append((j, 0))
-                    seen[j] = True
-                    advanced = True
-                    break
-            if not advanced:
-                finish.append(v)
-                stack.pop()
-
+    n = len(adj)
+    excess = [row.count(True) - col.count(True) for row, col in zip(adj, zip(*adj))]
+    order = sorted(range(n), key=excess.__getitem__, reverse=True)
     components: list[tuple[int, ...]] = []
-    assigned = [False] * n
-    for v in reversed(finish):
-        if assigned[v]:
-            continue
-        member = [v]
-        assigned[v] = True
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for j in range(n):
-                # reverse edge u <- j
-                if adj[j][u] and not assigned[j] and j != u:
-                    assigned[j] = True
-                    member.append(j)
-                    queue.append(j)
-        components.append(tuple(sorted(member)))
+    start = total = 0
+    for k, v in enumerate(order, 1):
+        total += excess[v] + n - 1
+        if total == k * (k - 1) + 2 * k * (n - k):
+            components.append(tuple(sorted(order[start:k])))
+            start = k
     return len(components) == 1, tuple(components)
 
 
@@ -249,3 +241,28 @@ def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertif
     if strong:
         return EfficiencyCertificate(efficient=True, cycle=find_hamiltonian_cycle(g))
     return EfficiencyCertificate(efficient=False, cut=components[0])
+
+
+def improve(a: ReciprocalMatrix, w: Sequence[Fraction]) -> Vec | None:
+    """An efficient vector dominating w, or None when w is efficient.
+
+    Every pair leaving the cut T of an inefficient certificate is slack:
+    ``w_i > a_ij * w_j`` for i in T, j outside.  Scaling T by the largest
+    ``a_ij * w_j / w_i`` over those pairs (a factor below 1) makes the
+    tightest one an equality and moves every crossing ratio strictly
+    closer to its entry, so the scaled vector dominates.  The tight pair
+    joins two components, so at most n - 1 rounds reach an efficient
+    vector; domination is transitive, so it dominates w.
+    """
+    vec = as_weight_vector(w)
+    certificate = is_efficient(a, vec)
+    if certificate.efficient:
+        return None
+    e = a.entries
+    while not certificate.efficient:
+        inside = set(certificate.cut)
+        outside = [j for j in range(a.n) if j not in inside]
+        factor = max(e[i][j] * vec[j] / vec[i] for i in inside for j in outside)
+        vec = tuple(v * factor if t in inside else v for t, v in enumerate(vec))
+        certificate = is_efficient(a, vec)
+    return vec

@@ -111,18 +111,26 @@ def consistent_matrix(w: Sequence[Fraction]) -> ReciprocalMatrix:
     return ReciprocalMatrix(tuple(tuple(wi / wj for wj in vec) for wi in vec))
 
 
-def is_consistent(a: ReciprocalMatrix) -> bool:
-    """True when every triple satisfies a_ij * a_jk == a_ik exactly."""
-    n = a.n
+def _consistent_on(a: ReciprocalMatrix, keep: Sequence[int]) -> bool:
+    """Whether the principal submatrix on ``keep`` is consistent, on integers.
+
+    Reciprocity makes agreement with the first kept column equivalent to
+    full transitivity.  With a_ij = num[i][j] / num[j][i] and f = keep[0],
+    the test a_if == a_ij * a_jf is an integer cross-product equality,
+    symmetric in i and j, so the pairs i < j suffice.
+    """
     num = a._numerators
-    # Reciprocity makes column-0 agreement equivalent to full transitivity.
-    # With a_ij = num[i][j] / num[j][i], the test a_i0 == a_ij * a_j0 is an
-    # integer cross-product equality, symmetric in i and j.
-    for i in range(n):
-        for j in range(i + 1, n):
-            if num[i][0] * num[j][i] * num[0][j] != num[i][j] * num[j][0] * num[0][i]:
+    f = keep[0]
+    for x, i in enumerate(keep):
+        for j in keep[x + 1 :]:
+            if num[i][f] * num[j][i] * num[f][j] != num[i][j] * num[j][f] * num[f][i]:
                 return False
     return True
+
+
+def is_consistent(a: ReciprocalMatrix) -> bool:
+    """True when every triple satisfies a_ij * a_jk == a_ik exactly."""
+    return _consistent_on(a, range(a.n))
 
 
 @dataclass(frozen=True)

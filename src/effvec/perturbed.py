@@ -20,6 +20,7 @@ from .matrices import (
     MonomialTransform,
     ReciprocalMatrix,
     Vec,
+    _consistent_on,
     as_weight_vector,
     is_consistent,
     monomial_similarity,
@@ -67,16 +68,7 @@ class ColumnPerturbedForm:
 
 
 def _deletion_consistent(a: ReciprocalMatrix, drop: int) -> bool:
-    keep = [t for t in range(a.n) if t != drop]
-    if len(keep) < 2:
-        return True
-    e = a.entries
-    first = keep[0]
-    for i in keep:
-        for j in keep:
-            if e[i][first] != e[i][j] * e[j][first]:
-                return False
-    return True
+    return _consistent_on(a, [t for t in range(a.n) if t != drop])
 
 
 def _band_pairs(canonical: ReciprocalMatrix) -> tuple[tuple[int, int], ...]:

@@ -161,6 +161,9 @@ def _spectral_candidate(
 ) -> RankingCandidate:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if tolerance <= Fraction(1, 2**52):
+        # The iteration's relative change bottoms out near float epsilon.
+        raise ValueError(f"{method} tolerance must exceed float epsilon 2**-52 (about 2.2e-16)")
     if is_consistent(a):
         # The efficient set of a consistent matrix is a single ray; only the
         # exact column direction (the exact fixed point) can certify it.

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from effvec import (
     Decomposition,
+    DominanceDigraph,
     HamiltonianCycle,
     ReciprocalMatrix,
     Vec,
@@ -202,3 +203,68 @@ def convexity_witness_reference(
         if inefficient(u, v, t):
             return u, v, t
     return None
+
+
+# --- graph-search reference for the score-sequence components ---------------
+
+
+def kosaraju_reference(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """Kosaraju SCC pass on any digraph; components in topological order.
+
+    Reference for ``strongly_connected``: a general graph search that, unlike
+    the score-sequence scan, does not need the digraph to be semi-complete.
+    """
+    n = g.n
+    adj = g.adjacency
+
+    finish: list[int] = []
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack: list[tuple[int, int]] = [(start, 0)]
+        seen[start] = True
+        while stack:
+            v, nxt = stack[-1]
+            advanced = False
+            for j in range(nxt, n):
+                if adj[v][j] and not seen[j] and j != v:
+                    stack[-1] = (v, j + 1)
+                    stack.append((j, 0))
+                    seen[j] = True
+                    advanced = True
+                    break
+            if not advanced:
+                finish.append(v)
+                stack.pop()
+
+    components: list[tuple[int, ...]] = []
+    assigned = [False] * n
+    for v in reversed(finish):
+        if assigned[v]:
+            continue
+        member = [v]
+        assigned[v] = True
+        queue = [v]
+        while queue:
+            u = queue.pop()
+            for j in range(n):
+                # reverse edge u <- j
+                if adj[j][u] and not assigned[j] and j != u:
+                    assigned[j] = True
+                    member.append(j)
+                    queue.append(j)
+        components.append(tuple(sorted(member)))
+    return len(components) == 1, tuple(components)
+
+
+def semicomplete_digraphs(n: int):
+    """Every semi-complete digraph on n vertices: each pair i < j carries
+    i -> j, j -> i, or both, so 3**C(n, 2) digraphs in all."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for pattern in itertools.product((0, 1, 2), repeat=len(pairs)):
+        adj = [[True] * n for _ in range(n)]
+        for (i, j), kind in zip(pairs, pattern):
+            adj[i][j] = kind != 1
+            adj[j][i] = kind != 0
+        yield DominanceDigraph(tuple(map(tuple, adj)))

@@ -215,7 +215,7 @@ class TestAcceptance:
                         continue
                     seen.add((a, w))
                     assert is_efficient(a, w).efficient
-                    assert dominance_search(a, w, budget=600) is None
+                    assert dominance_search(a, w) is None
                     efficient_checked += 1
 
             inefficient = dominated = 0

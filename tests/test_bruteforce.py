@@ -3,14 +3,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from effvec import (
-    decompose,
     dominance_search,
     generate,
+    improve,
     is_efficient,
     probe,
     random_weight_vector,
 )
+from effvec.generators import KINDS
 from helpers import fractions, matrix_of
 
 
@@ -49,11 +52,14 @@ class TestDominanceSearch:
             for k in range(n):
                 w = a.column(k)
                 assert is_efficient(a, w).efficient
-                assert dominance_search(a, w, budget=400) is None
+                assert dominance_search(a, w) is None
                 checked += 1
         assert checked >= 120
 
-    def test_dominator_found_for_inefficient(self):
+    def test_dominator_found_for_inefficient(self, consistent3):
+        w = fractions(1, 1, 1)
+        assert not is_efficient(consistent3, w).efficient
+        assert dominance_search(consistent3, w) is not None
         rng = random.Random(52)
         found = tried = 0
         for seed in range(60):
@@ -69,26 +75,55 @@ class TestDominanceSearch:
             found += 1
         assert tried >= 20 and found == tried
 
-    def test_budget_limits_probes(self, consistent3):
-        w = fractions(1, 1, 1)
-        assert not is_efficient(consistent3, w).efficient
-        assert dominance_search(consistent3, w, budget=0) is None
-        assert dominance_search(consistent3, w) is not None
-
-    def test_accepts_precomputed_decomposition(self, double4):
-        d = decompose(double4)
-        w = fractions(2, 4, 5, 4)
-        dominator = dominance_search(double4, w, decomposition=d)
-        assert dominator is not None
-        assert probe(double4, w, dominator).dominates
-
     def test_found_dominators_validate_exactly(self):
         rng = random.Random(53)
         for seed in range(30):
             n = rng.randint(3, 6)
             a = generate("random", n, seed=seed)
             w = random_weight_vector(rng, n)
-            dominator = dominance_search(a, w, budget=300)
+            dominator = dominance_search(a, w)
             if dominator is not None:
                 assert probe(a, w, dominator).dominates
                 assert not is_efficient(a, w).efficient
+
+    def test_refuses_above_exhaustive_limit(self):
+        a = generate("random", 9, seed=0)
+        with pytest.raises(ValueError, match="n <= 8"):
+            dominance_search(a, a.column(0))
+
+
+class TestImprove:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_efficient_dominator_agrees_with_oracle(self, kind):
+        # improve leaves efficient vectors alone and turns every other one
+        # into an efficient dominator; the subset oracle finds a dominator
+        # exactly when the certificate says inefficient.
+        rng = random.Random(54)
+        efficient_seen = inefficient_seen = 0
+        for n in range(3, 9):
+            for seed in range(3):
+                a = generate(kind, n, seed=seed)
+                vectors = [a.column(rng.randrange(n))]
+                vectors += [random_weight_vector(rng, n) for _ in range(2)]
+                for w in vectors:
+                    efficient = is_efficient(a, w).efficient
+                    assert (dominance_search(a, w) is None) == efficient
+                    better = improve(a, w)
+                    if efficient:
+                        assert better is None
+                        efficient_seen += 1
+                        continue
+                    inefficient_seen += 1
+                    assert is_efficient(a, better).efficient
+                    assert probe(a, w, better).dominates
+        assert efficient_seen and inefficient_seen
+
+    def test_one_round_on_double4(self, double4):
+        # The cut is vertex 2 (0-based) alone; its tightest factor is
+        # max(2*2/5, 4/5, 4/5) = 4/5, and one round is already efficient.
+        w = fractions(2, 4, 5, 4)
+        assert is_efficient(double4, w).cut == (2,)
+        better = improve(double4, w)
+        assert better == fractions(2, 4, 4, 4)
+        assert is_efficient(double4, better).efficient
+        assert probe(double4, w, better).dominates

@@ -238,13 +238,14 @@ class TestRank:
         assert "error: perron power iteration needs entries within the float range" in err
 
     def test_tolerance_below_float_range(self, files, capsys):
-        # The Perron iteration cannot meet 1e-400 in floats and says so;
-        # the geometric mean's digit count no longer goes through a float.
+        # Power iteration cannot meet a tolerance at or below float epsilon,
+        # so it is refused before any iteration runs.
         code = main(["rank", files["circulant"], "--tolerance", "1e-400"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "math domain error" not in err
-        assert "power iteration did not converge" in err
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "math domain error" not in captured.err
+        assert "tolerance must exceed float epsilon 2**-52" in captured.err
 
 
 class TestGenerate:

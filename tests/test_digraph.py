@@ -1,13 +1,11 @@
 """Dominance digraphs, strong connectivity, Hamiltonian cycles, certificates."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 
 import effvec.digraph
 from effvec import (
-    DominanceDigraph,
     HamiltonianCycle,
     build_digraph,
     exhaustive_hamiltonian,
@@ -17,7 +15,7 @@ from effvec import (
     random_weight_vector,
     strongly_connected,
 )
-from helpers import fractions
+from helpers import fractions, kosaraju_reference, semicomplete_digraphs
 
 import random
 
@@ -105,6 +103,25 @@ class TestStrongConnectivity:
                         assert position[i] <= position[j]
 
 
+    def test_matches_kosaraju_on_every_semicomplete_digraph_up_to_five(self):
+        # The score scan must return the graph search's components, in the
+        # same topological order, ties (2-cycles) included.
+        counted = 0
+        for n in (2, 3, 4, 5):
+            for g in semicomplete_digraphs(n):
+                assert strongly_connected(g) == kosaraju_reference(g)
+                counted += 1
+        assert counted == 3 + 3**3 + 3**6 + 3**10
+
+    def test_dominance_digraphs_match_kosaraju(self):
+        rng = random.Random(8)
+        for seed in range(30):
+            a = generate("random", rng.randint(3, 40), seed=seed)
+            for w in (random_weight_vector(rng, a.n), a.column(rng.randrange(a.n))):
+                g = build_digraph(a, w)
+                assert strongly_connected(g) == kosaraju_reference(g)
+
+
 class TestFindHamiltonianCycle:
     def test_agrees_with_exhaustive_oracle(self):
         rng = random.Random(7)
@@ -130,15 +147,9 @@ class TestFindHamiltonianCycle:
         # The construction runs no SCC pass of its own: it must return a
         # valid cycle on every strong digraph and raise on every other one.
         # Each pair is an edge one way, the other way, or both ways.
-        orientations = ((True, False), (False, True), (True, True))
         seen = {True: 0, False: 0}
         for n in (2, 3, 4):
-            pairs = list(itertools.combinations(range(n), 2))
-            for choice in itertools.product(orientations, repeat=len(pairs)):
-                adj = [[i == j for j in range(n)] for i in range(n)]
-                for (i, j), (forward, backward) in zip(pairs, choice):
-                    adj[i][j], adj[j][i] = forward, backward
-                g = DominanceDigraph(tuple(tuple(row) for row in adj))
+            for g in semicomplete_digraphs(n):
                 strong, _ = strongly_connected(g)
                 seen[strong] += 1
                 if strong:
