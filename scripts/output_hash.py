@@ -1,22 +1,40 @@
-"""Hash the exact outputs of the core API on a fixed corpus.
+"""Hash the exact outputs of the core API and of the CLI on fixed corpora.
 
 Run from the repository root:  PYTHONPATH=src python3 scripts/output_hash.py
 
-Prints the number of results and the SHA-256 of their canonical text.  Two
-checkouts that print the same hash give identical outputs on the corpus, so
-a refactor of the exact core can be checked against its parent commit.  The
-corpus uses only calls whose signatures and return shapes are stable:
-``decompose`` (cones and unit cycles, in order), ``min_reversal_vector``
-for every cone, ``efficiency_cone`` and ``count_reversals`` (on the cone's
-ray) for every unit cycle, ``membership`` on random vectors and on columns,
-``is_efficient`` up to n = 150, ``columns_common_cone``,
-``detect_column_perturbed`` and ``convexity_report``.
+Prints two lines, each with a number of results and the SHA-256 of their
+canonical text.  Two checkouts that print the same hashes give identical
+outputs on the corpora, so a refactor can be checked against its parent
+commit.
+
+The first corpus uses only core calls whose signatures and return shapes
+are stable: ``decompose`` (cones and unit cycles, in order),
+``min_reversal_vector`` for every cone, ``efficiency_cone`` and
+``count_reversals`` (on the cone's ray) for every unit cycle,
+``membership`` on random vectors and on columns, ``is_efficient`` up to
+n = 150, ``columns_common_cone``, ``detect_column_perturbed`` and
+``convexity_report``.
+
+The second corpus runs ``effvec.cli.main`` in-process: every subcommand, in
+text and JSON, on small ``generate`` matrices, with every option of
+``decompose``, ``reversals`` and ``perturbed`` and the error paths (a
+missing file, flag validation, the cycle cap, a matrix that is not
+column-perturbed).  A result is the exit code, stdout and stderr, with the
+temporary directory replaced by a fixed token.  ``rank`` runs only on
+consistent matrices, whose candidates are all exact, so the hash does not
+depend on the floating-point build.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
+import tempfile
+from pathlib import Path
+
+import effvec.cli
 
 from effvec import (
     columns_common_cone,
@@ -94,13 +112,85 @@ def corpus():
                 yield f"certify n={n} seed={seed} {cert.efficient} {_cycle(cert.cycle)} {cert.cut}"
 
 
-def main() -> None:
+def _run_cli(argv: list[str], tmp: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = effvec.cli.main(argv)
+    text = f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}"
+    return text.replace(tmp, "<tmp>")
+
+
+def cli_corpus():
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        bad = root / "bad.txt"
+        bad.write_text("3\n1 2\n")
+        for kind in KINDS:
+            for n in (3, 5):
+                for seed in (0, 1):
+                    m = str(root / f"{kind}-{n}-{seed}.txt")
+                    yield _run_cli(["generate", kind, str(n), "--seed", str(seed), "--out", m], tmp)
+                    ones = root / f"ones-{n}.txt"
+                    ones.write_text(" ".join(["1"] * n) + "\n")
+                    ramp = root / f"ramp-{n}.json"
+                    ramp.write_text("[" + ", ".join(f'"{k + 1}/{n}"' for k in range(n)) + "]")
+                    forward = ",".join(str(k) for k in range(1, n + 1))
+                    backward = ",".join(["1"] + [str(k) for k in range(n, 1, -1)])
+                    runs = [["check", m, str(w)] for w in (ones, ramp)]
+                    runs += [
+                        ["decompose", m, *opts, "--budget", "40", "--seed", str(seed)]
+                        for opts in ([], ["--summary"], ["--convexity"], ["--summary", "--convexity"])
+                    ]
+                    runs += [
+                        ["reversals", m, str(ramp)],
+                        ["reversals", m, str(ones), "--cycle", backward],
+                        ["reversals", m, "--minimize", "--cycle", forward],
+                        ["reversals", m, "--minimize", "--cycle", backward],
+                    ]
+                    runs += [["perturbed", action, m] for action in ("classify", "canonicalize", "eff-set")]
+                    if kind == "consistent":
+                        runs += [["rank", m], ["rank", m, "--weights", ",".join(["1/" + str(n)] * n)]]
+                    for argv in runs:
+                        yield _run_cli(argv, tmp)
+                        yield _run_cli(["--json", *argv], tmp)
+        m = str(root / "random-5-0.txt")
+        for kind in KINDS:
+            yield _run_cli(["generate", kind, "4", "--seed", "3"], tmp)
+            yield _run_cli(["generate", kind, "4", "--seed", "3", "--json"], tmp)
+        errors = [
+            ["check", str(root / "missing.txt"), m],
+            ["check", str(bad), m],
+            ["decompose", m, "--cap", "4"],
+            ["decompose", m, "--cap", "2"],
+            ["decompose", m, "--convexity", "--budget", "0"],
+            ["rank", m, "--tolerance", "0"],
+            ["rank", m, "--tolerance", "abc"],
+            ["rank", m, "--weights", "1/2,1/2"],
+            ["rank", m, "--weights", "1/0,1,1,1,1"],
+            ["reversals", m],
+            ["reversals", m, "--minimize"],
+            ["reversals", m, str(root / "ones-5.txt"), "--cycle", "1,2"],
+            ["perturbed", "eff-set", m],
+            ["generate", "simple", "2"],
+        ]
+        for argv in errors:
+            yield _run_cli(argv, tmp)
+            yield _run_cli(["--json", *argv], tmp)
+        yield _run_cli(["self-check", "--trials", "8", "--seed", "2"], tmp)
+
+
+def _digest(lines) -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
-    for line in corpus():
+    for line in lines:
         digest.update(line.encode() + b"\n")
         count += 1
-    print(f"{count} results, sha256 {digest.hexdigest()}")
+    return count, digest.hexdigest()
+
+
+def main() -> None:
+    print("%d results, sha256 %s" % _digest(corpus()))
+    print("cli %d results, sha256 %s" % _digest(cli_corpus()))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ consistent matrices get closed-form efficient sets.
 from .bruteforce import DominanceProbe, dominance_search, exhaustive_hamiltonian, probe
 from .cones import (
     EfficiencyCone,
-    cone_extremes,
     cycle_product,
     efficiency_cone,
     resolve_unit_cycle,
@@ -104,7 +103,6 @@ __all__ = [
     "classify_perturbation",
     "column_vector",
     "columns_common_cone",
-    "cone_extremes",
     "consistent_matrix",
     "convexity_report",
     "count_reversals",

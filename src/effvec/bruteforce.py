@@ -37,15 +37,13 @@ def exhaustive_hamiltonian(g: DominanceDigraph) -> HamiltonianCycle | None:
 
 @dataclass(frozen=True)
 class DominanceProbe:
-    """Entrywise comparison of two candidate vectors against a matrix.
+    """Entrywise comparison of a candidate vector with a base vector.
 
-    ``candidate`` dominates ``base`` when every absolute deviation
+    The candidate dominates the base when every absolute deviation
     |a[i][j] - v[i]/v[j]| is at most the base's, at least one is strictly
     smaller, and the vectors are not proportional.
     """
 
-    base: Vec
-    candidate: Vec
     weak: bool
     strict_positions: tuple[tuple[int, int], ...]
     proportional: bool
@@ -75,8 +73,6 @@ def probe(a: ReciprocalMatrix, base: Sequence[Fraction], candidate: Sequence[Fra
             elif dev_v < dev_w:
                 strict.append((i, j))
     return DominanceProbe(
-        base=tuple(w),
-        candidate=tuple(v),
         weak=weak,
         strict_positions=tuple(strict),
         proportional=proportional(w, v),

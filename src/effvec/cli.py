@@ -4,7 +4,8 @@ Subcommands: check, decompose, reversals, perturbed, rank, generate,
 self-check.  Matrices and vectors are read from files ("-" for stdin) in
 the text or JSON formats of the formats module.  Exit codes: 0 success or
 efficient, 1 inefficient or negative result, 2 parse or usage error, 3
-enumeration cap exceeded.
+work refused as too large (the cycle cap, or oversized roots for rank
+--weights).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .bruteforce import dominance_search, exhaustive_hamiltonian, probe
@@ -36,7 +35,6 @@ from .formats import (
     parse_vector,
 )
 from .generators import KINDS, generate, random_weight_vector
-from .matrices import ReciprocalMatrix, Vec
 from .perturbed import (
     classify_perturbation,
     detect_column_perturbed,
@@ -53,33 +51,22 @@ from .ranking import (
 from .rationals import parse_rational
 from .reversals import count_reversals, min_reversal_vector
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared across subcommands."""
-
-    enumeration_cap: int = DEFAULT_CYCLE_CAP
-    spectral_tolerance: Fraction = DEFAULT_TOLERANCE
-    sample_budget: int = 1000
-    output: str = "text"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.enumeration_cap < 3:
-            raise ValueError("enumeration cap must be at least 3")
-        if self.spectral_tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.sample_budget < 1:
-            raise ValueError("sample budget must be positive")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be text or json")
+# Exit code of each failure, first match wins: ParseError is also an
+# EffvecError and a ValueError.
+EXIT_CODES = {
+    ParseError: EXIT_USAGE,
+    CapExceededError: EXIT_CAP,
+    EffvecError: EXIT_NEGATIVE,
+    OSError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+}
 
 
 def _read_text(path: str) -> str:
@@ -87,14 +74,6 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _load_matrix(path: str) -> ReciprocalMatrix:
-    return parse_matrix(_read_text(path))
-
-
-def _load_vector(path: str) -> Vec:
-    return parse_vector(_read_text(path))
 
 
 def _parse_cycle_arg(text: str, n: int) -> HamiltonianCycle:
@@ -119,11 +98,11 @@ def _emit_json(payload: object) -> None:
 # --- check ---------------------------------------------------------------
 
 
-def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
-    a = _load_matrix(args.matrix)
-    w = _load_vector(args.vector)
+def _cmd_check(args: argparse.Namespace) -> int:
+    a = parse_matrix(_read_text(args.matrix))
+    w = parse_vector(_read_text(args.vector))
     cert = is_efficient(a, w)
-    if config.output == "json":
+    if args.json:
         _emit_json(certificate_to_json(cert))
     else:
         print(f"status: {'efficient' if cert.efficient else 'inefficient'}")
@@ -137,13 +116,13 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
 # --- decompose -----------------------------------------------------------
 
 
-def _cmd_decompose(args: argparse.Namespace, config: RunConfig) -> int:
-    a = _load_matrix(args.matrix)
-    d = decompose(a, cap=config.enumeration_cap)
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    a = parse_matrix(_read_text(args.matrix))
+    d = decompose(a, cap=args.cap)
     report = None
     if args.convexity:
-        report = convexity_report(d, samples=config.sample_budget, seed=config.seed)
-    if config.output == "json":
+        report = convexity_report(d, samples=args.budget, seed=args.seed)
+    if args.json:
         payload = decomposition_to_json(d)
         if args.summary:
             payload = {
@@ -195,8 +174,8 @@ def _cmd_decompose(args: argparse.Namespace, config: RunConfig) -> int:
 # --- reversals -----------------------------------------------------------
 
 
-def _cmd_reversals(args: argparse.Namespace, config: RunConfig) -> int:
-    a = _load_matrix(args.matrix)
+def _cmd_reversals(args: argparse.Namespace) -> int:
+    a = parse_matrix(_read_text(args.matrix))
     cycle = _parse_cycle_arg(args.cycle, a.n) if args.cycle else None
 
     if args.minimize:
@@ -208,7 +187,7 @@ def _cmd_reversals(args: argparse.Namespace, config: RunConfig) -> int:
             return EXIT_NEGATIVE
         vec, along = min_reversal_vector(a, cycle)
         cert = is_efficient(a, vec)
-        if config.output == "json":
+        if args.json:
             _emit_json(
                 {
                     "vector": [format_rational(x) for x in vec],
@@ -224,9 +203,9 @@ def _cmd_reversals(args: argparse.Namespace, config: RunConfig) -> int:
 
     if args.vector is None:
         raise ParseError("reversals needs a vector file (or --minimize with --cycle)")
-    w = _load_vector(args.vector)
+    w = parse_vector(_read_text(args.vector))
     report = count_reversals(a, w, cycle=cycle)
-    if config.output == "json":
+    if args.json:
         payload = {
             "pairs": [
                 {"i": i + 1, "j": j + 1, "kind": kind} for i, j, kind in report.pairs
@@ -257,12 +236,12 @@ def _transform_to_json(form) -> dict:
     }
 
 
-def _cmd_perturbed(args: argparse.Namespace, config: RunConfig) -> int:
-    a = _load_matrix(args.matrix)
+def _cmd_perturbed(args: argparse.Namespace) -> int:
+    a = parse_matrix(_read_text(args.matrix))
 
     if args.action == "classify":
         label = classify_perturbation(a)
-        if config.output == "json":
+        if args.json:
             _emit_json({"class": label})
         else:
             print(label)
@@ -274,7 +253,7 @@ def _cmd_perturbed(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_NEGATIVE
 
     if args.action == "canonicalize":
-        if config.output == "json":
+        if args.json:
             _emit_json(
                 {"canonical": matrix_to_json(form.canonical), "transform": _transform_to_json(form)}
             )
@@ -293,7 +272,7 @@ def _cmd_perturbed(args: argparse.Namespace, config: RunConfig) -> int:
 
     # eff-set: constraint systems of the canonical matrix.
     bands = efficient_set_union(form)
-    if config.output == "json":
+    if args.json:
         _emit_json(
             {
                 "canonical": matrix_to_json(form.canonical),
@@ -324,8 +303,8 @@ def _cmd_perturbed(args: argparse.Namespace, config: RunConfig) -> int:
 # --- rank ----------------------------------------------------------------
 
 
-def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
-    a = _load_matrix(args.matrix)
+def _cmd_rank(args: argparse.Namespace) -> int:
+    a = parse_matrix(_read_text(args.matrix))
     weights = None
     if args.weights:
         parts = [tok for tok in args.weights.replace(",", " ").split() if tok]
@@ -337,16 +316,16 @@ def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
             raise ParseError(f"expected {a.n} weights, got {len(weights)}")
 
     candidates = [column_vector(a, k) for k in range(a.n)]
-    candidates.append(weighted_geometric(a, weights=weights, tolerance=config.spectral_tolerance))
+    candidates.append(weighted_geometric(a, weights=weights, tolerance=args.tolerance))
     try:
-        candidates.append(perron_vector(a, tolerance=config.spectral_tolerance))
-        candidates.append(singular_vector(a, tolerance=config.spectral_tolerance))
+        candidates.append(perron_vector(a, tolerance=args.tolerance))
+        candidates.append(singular_vector(a, tolerance=args.tolerance))
     except ConvergenceError as exc:
         print(f"power iteration did not converge: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    common = columns_common_cone(a, cap=config.enumeration_cap)
+    common = columns_common_cone(a, cap=args.cap)
 
-    if config.output == "json":
+    if args.json:
         _emit_json(
             {
                 "candidates": [
@@ -390,11 +369,11 @@ def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
 # --- generate ------------------------------------------------------------
 
 
-def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
-    a = generate(args.kind, args.n, seed=config.seed)
+def _cmd_generate(args: argparse.Namespace) -> int:
+    a = generate(args.kind, args.n, seed=args.seed)
     text = (
         json.dumps(matrix_to_json(a), indent=2) + "\n"
-        if config.output == "json"
+        if args.json
         else format_matrix(a) + "\n"
     )
     if args.out:
@@ -408,8 +387,8 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
 # --- self-check ----------------------------------------------------------
 
 
-def _cmd_self_check(args: argparse.Namespace, config: RunConfig) -> int:
-    rng = random.Random(config.seed)
+def _cmd_self_check(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     trials = args.trials
     failures = []
 
@@ -463,7 +442,7 @@ def _cmd_self_check(args: argparse.Namespace, config: RunConfig) -> int:
     for _ in range(max(1, trials // 10)):
         n = rng.randint(3, 5)
         a = generate("random", n, seed=rng.randrange(1 << 30))
-        d = decompose(a, cap=config.enumeration_cap)
+        d = decompose(a, cap=args.cap)
         for _ in range(20):
             w = random_weight_vector(rng, n)
             in_cone = membership(d, w) is not None
@@ -482,21 +461,25 @@ def _cmd_self_check(args: argparse.Namespace, config: RunConfig) -> int:
 def _global_options(parser: argparse.ArgumentParser, sub: bool = False) -> None:
     # Subparsers copy their defaults over values the main parser already set,
     # so they must suppress defaults to let flags work in either position.
-    default = argparse.SUPPRESS if sub else None
-    parser.add_argument("--json", action="store_true", default=default, help="emit JSON")
-    parser.add_argument("--cap", type=int, default=default, metavar="N", help="enumeration cap (default 10)")
-    parser.add_argument("--seed", type=int, default=default, metavar="S", help="seed for randomized steps")
+    def default(value):
+        return argparse.SUPPRESS if sub else value
+
+    parser.add_argument("--json", action="store_true", default=default(False), help="emit JSON")
+    parser.add_argument(
+        "--cap", type=int, default=default(DEFAULT_CYCLE_CAP), metavar="N", help="enumeration cap (default 10)"
+    )
+    parser.add_argument("--seed", type=int, default=default(0), metavar="S", help="seed for randomized steps")
     parser.add_argument(
         "--tolerance",
         type=str,
-        default=default,
+        default=default(format_rational(DEFAULT_TOLERANCE)),
         metavar="p/q",
         help="spectral convergence tolerance (default 1/1000000000000)",
     )
     parser.add_argument(
         "--budget",
         type=int,
-        default=default,
+        default=default(1000),
         metavar="B",
         help="sample budget for the convexity search (default 1000)",
     )
@@ -562,45 +545,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        enumeration_cap=args.cap if args.cap is not None else DEFAULT_CYCLE_CAP,
-        spectral_tolerance=parse_rational(args.tolerance) if args.tolerance else DEFAULT_TOLERANCE,
-        sample_budget=args.budget if args.budget is not None else 1000,
-        output="json" if args.json else "text",
-        seed=args.seed if args.seed is not None else 0,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _config_from(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # The report is rendered in full before any of it is written, so a
     # command that fails part way leaves stdout empty.
     report = io.StringIO()
     try:
+        # An empty --tolerance keeps the default.
+        args.tolerance = parse_rational(args.tolerance) if args.tolerance else DEFAULT_TOLERANCE
+        if args.cap < 3:
+            raise ValueError("enumeration cap must be at least 3")
+        if args.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        if args.budget < 1:
+            raise ValueError("sample budget must be positive")
         with contextlib.redirect_stdout(report):
-            code = args.func(args, config)
-    except ParseError as exc:
+            code = args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EffvecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     sys.stdout.write(report.getvalue())
     return code
 

@@ -9,10 +9,11 @@ collapses the cone to a single ray, and product > 1 empties it.
 
 Everything about one cycle comes from a single chain of integer prefix
 products, read from the numerator table of the matrix: the product, its
-comparison with 1, and the extreme rays.  The ray that leaves edge k slack
-is the same chain of prefix products scaled by the cycle product beyond
-position k, so the n rays are rotations of one chain and share 2n
-Fractions; no Fraction arithmetic decides anything.
+comparison with 1, and the extreme rays.  ``efficiency_cone`` assembles
+them; below product 1, entry k of its ``extremes`` is the ray that leaves
+edge k slack.  That ray is the same chain of prefix products scaled by the
+cycle product beyond position k, so the n rays are rotations of one chain
+and share 2n Fractions; no Fraction arithmetic decides anything.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from .matrices import ReciprocalMatrix, Vec, as_weight_vector, is_consistent
 __all__ = [
     "EfficiencyCone",
     "cycle_product",
-    "cycle_entries",
-    "cone_extremes",
     "efficiency_cone",
     "resolve_unit_cycle",
 ]
 
 
-def cycle_entries(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Fraction, ...]:
+def _cycle_entries(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Fraction, ...]:
     """Matrix entries read along the cycle edges."""
     if cycle.n != a.n:
         raise ValueError("cycle length does not match matrix dimension")
@@ -104,30 +103,15 @@ def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     return Fraction(R[-1], S[-1])
 
 
-def chain_solution(a: ReciprocalMatrix, cycle: HamiltonianCycle, omit: int) -> Vec:
-    """Solve all cycle-edge inequalities as equalities except the omitted one.
-
-    Dropping one edge leaves a chain that determines the vector up to scale.
-    Result is normalized canonically.
-    """
-    return _ray(cycle.order, *_chain(a, cycle), omit % cycle.n)
-
-
-def cone_extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
-    """Extreme rays of the cone, as canonical vectors with duplicates removed.
-
-    Turning all but one edge inequality into equalities yields one ray per
-    omitted edge; when the cycle product is at most 1 the omitted inequality
-    holds automatically and the rays span the cone.
-    """
-    return _extremes(cycle.order, *_chain(a, cycle))
-
-
 @dataclass(frozen=True)
 class EfficiencyCone:
     """Convex cone of weight vectors whose dominance digraph contains a cycle.
 
     ``inequalities`` lists (i, j, a_ij) triples meaning w[i] >= a_ij * w[j].
+    ``extremes`` holds the canonical extreme rays: turning all but one edge
+    inequality into equalities yields one ray per omitted edge, in edge
+    order, and since the product is at most 1 the omitted inequality holds
+    and the rays span the cone.  At product 1 they coincide in one ray.
     """
 
     cycle: HamiltonianCycle
@@ -186,7 +170,7 @@ def resolve_unit_cycle(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Hamilton
     Hamiltonian cycle whose entries are all at most 1 with at least one
     strictly below 1, so its cone strictly absorbs the input ray.
     """
-    if any(value != 1 for value in cycle_entries(a, cycle)):
+    if any(value != 1 for value in _cycle_entries(a, cycle)):
         raise ValueError("resolve_unit_cycle needs a cycle whose entries all equal 1")
     if is_consistent(a):
         raise ValueError("matrix is consistent; every cycle stays at product 1")
@@ -228,7 +212,7 @@ def resolve_unit_cycle(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Hamilton
         pos0 = [pos0[0]] + pos0[:0:-1]
     replacement = HamiltonianCycle.from_vertices([order[p] for p in pos0])
 
-    values = cycle_entries(a, replacement)
+    values = _cycle_entries(a, replacement)
     if any(v > 1 for v in values) or all(v == 1 for v in values):
         raise ValueError("constructed cycle fails its guarantee; please report this input")
     return replacement

@@ -42,7 +42,9 @@ def all_cycles(n: int, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[HamiltonianCycl
     """All (n-1)! directed Hamiltonian cycles anchored at vertex 0, in
     lexicographic order of the remaining vertices."""
     if n > cap:
-        raise CapExceededError(n, cap)
+        raise CapExceededError(
+            f"enumeration over (n-1)! cycles refused for n={n} (cap {cap}); raise the cap explicitly"
+        )
     for rest in itertools.permutations(range(1, n)):
         yield HamiltonianCycle((0,) + rest)
 

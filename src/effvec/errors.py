@@ -18,14 +18,8 @@ class ParseError(EffvecError, ValueError):
 
 
 class CapExceededError(EffvecError):
-    """Cycle enumeration refused: factorial work beyond the configured cap."""
-
-    def __init__(self, n: int, cap: int):
-        self.n = n
-        self.cap = cap
-        super().__init__(
-            f"enumeration over (n-1)! cycles refused for n={n} (cap {cap}); raise the cap explicitly"
-        )
+    """Work refused up front because it would exceed a fixed bound: cycle
+    enumeration beyond the configured cap, or roots of oversized radicands."""
 
 
 class ConvergenceError(EffvecError):

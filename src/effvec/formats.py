@@ -1,11 +1,12 @@
-"""Reading and writing matrices, vectors, and analysis reports.
+"""Reading and writing matrices and vectors; writing analysis reports.
 
 Text format for a matrix: the dimension on the first line, then one line
 per row with whitespace-separated entries.  Entries are rational literals:
 'p/q', integers, or decimal strings, all read exactly.  The JSON form is
 {"n": ..., "rows": [[...], ...]} with entries as literal strings so output
 stays exact and diff-friendly.  Vertices are numbered from 1 in every
-serialized cycle or cut; in-memory indices are 0-based.
+serialized cycle or cut; in-memory indices are 0-based.  Certificates and
+decompositions are only written: no command reads a report back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .cones import EfficiencyCone
-from .decomposition import Decomposition, decompose
+from .decomposition import Decomposition
 from .digraph import EfficiencyCertificate, HamiltonianCycle
 from .errors import ParseError
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
@@ -27,13 +28,9 @@ __all__ = [
     "format_matrix",
     "format_vector",
     "matrix_to_json",
-    "matrix_from_json",
     "certificate_to_json",
-    "cone_to_json",
     "decomposition_to_json",
-    "decomposition_from_json",
     "cycle_to_json",
-    "cycle_from_json",
 ]
 
 
@@ -54,9 +51,9 @@ def parse_matrix(text: str) -> ReciprocalMatrix:
     if stripped.startswith("{"):
         try:
             payload = json.loads(text, parse_float=parse_rational)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}", "matrix") from None
-        return matrix_from_json(payload)
+        return _matrix_from_json(payload)
     return _parse_matrix_text(text)
 
 
@@ -91,10 +88,12 @@ def _parse_matrix_text(text: str) -> ReciprocalMatrix:
         raise ParseError(str(exc), "matrix") from None
 
 
-def matrix_from_json(payload: Any) -> ReciprocalMatrix:
+def _matrix_from_json(payload: Any) -> ReciprocalMatrix:
     if not isinstance(payload, dict) or "rows" not in payload:
         raise ParseError("matrix JSON needs a 'rows' field", "matrix")
     rows = payload["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError("matrix JSON 'rows' must be a list of lists", "matrix")
     n = payload.get("n", len(rows))
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}", "matrix")
@@ -117,7 +116,7 @@ def parse_vector(text: str) -> Vec:
     if stripped.startswith("["):
         try:
             payload = json.loads(stripped, parse_float=parse_rational)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}", "vector") from None
         values = [_rational_from_json(v, f"component {i + 1}") for i, v in enumerate(payload)]
     else:
@@ -155,13 +154,6 @@ def cycle_to_json(cycle: HamiltonianCycle) -> list[int]:
     return [v + 1 for v in cycle.order]
 
 
-def cycle_from_json(payload: Sequence[int]) -> HamiltonianCycle:
-    try:
-        return HamiltonianCycle.from_vertices([int(v) - 1 for v in payload])
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc), "cycle") from None
-
-
 def certificate_to_json(cert: EfficiencyCertificate) -> dict:
     out: dict[str, Any] = {"status": "efficient" if cert.efficient else "inefficient"}
     if cert.cycle is not None:
@@ -171,7 +163,7 @@ def certificate_to_json(cert: EfficiencyCertificate) -> dict:
     return out
 
 
-def cone_to_json(cone: EfficiencyCone) -> dict:
+def _cone_to_json(cone: EfficiencyCone) -> dict:
     return {
         "cycle": cycle_to_json(cone.cycle),
         "product": format_rational(cone.product),
@@ -183,45 +175,10 @@ def cone_to_json(cone: EfficiencyCone) -> dict:
 def decomposition_to_json(d: Decomposition) -> dict:
     out: dict[str, Any] = {
         "matrix": matrix_to_json(d.matrix),
-        "cones": [cone_to_json(c) for c in d.cones],
+        "cones": [_cone_to_json(c) for c in d.cones],
         "unit_cycles": [cycle_to_json(c) for c in d.unit_cycles],
     }
     if d.ray is not None:
         out["ray"] = [format_rational(v) for v in d.ray]
     return out
 
-
-def _cone_from_json(entry: Any, where: str) -> tuple[HamiltonianCycle, Fraction, list[Vec]]:
-    if not isinstance(entry, dict) or not {"cycle", "product", "extremes"} <= entry.keys():
-        raise ParseError("a cone needs 'cycle', 'product' and 'extremes' fields", where)
-    extremes = [tuple(_rational_from_json(v, where) for v in ray) for ray in entry["extremes"]]
-    return cycle_from_json(entry["cycle"]), _rational_from_json(entry["product"], where), extremes
-
-
-def decomposition_from_json(payload: Any) -> Decomposition:
-    """Rebuild a decomposition from its matrix and check that the serialized
-    cones (cycles in order, products and extremes), unit cycles and ray are
-    exactly those of the rebuilt one.  The rebuild runs under the default
-    cycle cap and raises CapExceededError beyond it."""
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise ParseError("decomposition JSON needs a 'matrix' field", "decomposition")
-    d = decompose(matrix_from_json(payload["matrix"]))
-    cones = payload.get("cones", [])
-    stated = [_cone_from_json(entry, f"cone {c + 1}") for c, entry in enumerate(cones)]
-    if len(stated) != len(d.cones):
-        raise ParseError(f"expected {len(d.cones)} cones, found {len(stated)}", "cones")
-    for c, (cone, (cycle, product, extremes)) in enumerate(zip(d.cones, stated)):
-        where = f"cone {c + 1}"
-        if cycle != cone.cycle:
-            raise ParseError("serialized cycle disagrees with the matrix", where)
-        if product != cone.product:
-            raise ParseError("serialized product disagrees with the matrix", where)
-        if extremes != list(cone.extremes):
-            raise ParseError("serialized extremes disagree with the matrix", where)
-    unit = [cycle_from_json(c) for c in payload.get("unit_cycles", [])]
-    if unit != list(d.unit_cycles):
-        raise ParseError("serialized unit cycles disagree with the matrix", "unit_cycles")
-    ray = tuple(_rational_from_json(v, "ray") for v in payload["ray"]) if "ray" in payload else None
-    if ray != d.ray:
-        raise ParseError("serialized ray disagrees with the matrix", "ray")
-    return d

@@ -17,9 +17,9 @@ _SCALE = sorted({Fraction(p, q) for p in range(1, 10) for q in range(1, 10)})
 _OFF_UNIT = [f for f in _SCALE if f != 1]
 
 
-def random_weight_vector(rng: random.Random, n: int, span: int = 9) -> Vec:
-    """Positive rational vector with numerators and denominators up to span."""
-    return tuple(Fraction(rng.randint(1, span), rng.randint(1, span)) for _ in range(n))
+def random_weight_vector(rng: random.Random, n: int) -> Vec:
+    """Positive rational vector with numerators and denominators up to 9."""
+    return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
 
 
 def _perturb(rows: list[list[Fraction]], i: int, j: int, factor: Fraction) -> None:

@@ -153,10 +153,6 @@ class MonomialTransform:
         if any(not isinstance(s, Fraction) or s <= 0 for s in self.scale):
             raise ValueError("scale factors must be positive Fractions")
 
-    @classmethod
-    def identity(cls, n: int) -> "MonomialTransform":
-        return cls(tuple(Fraction(1) for _ in range(n)), tuple(range(n)))
-
     @property
     def n(self) -> int:
         return len(self.scale)

@@ -59,7 +59,6 @@ class ColumnPerturbedForm:
     in the canonical matrix, that carve the efficient set.
     """
 
-    original: ReciprocalMatrix
     canonical: ReciprocalMatrix
     transform: MonomialTransform
     index: int
@@ -114,7 +113,6 @@ def detect_column_perturbed(a: ReciprocalMatrix) -> ColumnPerturbedForm | None:
     ):  # pragma: no cover - the scaling above flattens the block by construction
         raise ValueError("canonicalization failed to flatten the consistent block")
     return ColumnPerturbedForm(
-        original=a,
         canonical=canonical,
         transform=transform,
         index=drop,

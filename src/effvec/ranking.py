@@ -18,7 +18,7 @@ import numpy as np
 
 from .decomposition import DEFAULT_CYCLE_CAP, all_cycles
 from .digraph import EfficiencyCertificate, HamiltonianCycle, build_digraph, is_efficient
-from .errors import ConvergenceError
+from .errors import CapExceededError, ConvergenceError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize
 from .rationals import nth_root_exact, nth_root_floor
 
@@ -33,6 +33,10 @@ __all__ = [
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 MAX_ITERATIONS = 10_000
+# Bit length allowed for a scaled radicand of weighted_geometric.  The q-th
+# root of a b-bit integer takes on the order of q Newton steps, each a power
+# of b bits, so the cost grows with both q and b.
+MAX_RADICAND_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,10 @@ def _decimal_places(tolerance: Fraction) -> int:
     return d
 
 
+def _bit_length(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
 def _approx_root(value: Fraction, q: int, digits: int) -> Fraction:
     """The q-th root of value floored to ``digits`` decimals, with the
     digits doubled until the floor is positive, so tiny roots stay weights."""
@@ -98,7 +106,10 @@ def weighted_geometric(
     ``weights`` are nonnegative rationals summing to 1 (default: equal).
     The normalized mean has components (prod_k (a[i][k]/a[0][k])^weights[k]);
     each is computed exactly when its radicand is a perfect power, otherwise
-    approximated to within ``tolerance`` and rationalized.
+    approximated to within ``tolerance`` and rationalized.  With q the lcm
+    of the weight denominators, the work is refused up front with
+    CapExceededError when a radicand scaled by 10**(q * digits) could need
+    more than ``MAX_RADICAND_BITS`` bits.
     """
     n = a.n
     if weights is None:
@@ -113,6 +124,20 @@ def weighted_geometric(
     q = math.lcm(*(t.denominator for t in weights))
     numerators = [t.numerator * (q // t.denominator) for t in weights]
     digits = _decimal_places(tolerance) + 2
+    # Row i's radicand has a numerator and a denominator of at most
+    # sum_k n_k * (bit lengths of a_ik and a_0k) bits together, and the
+    # decimal scale adds q * digits * log2(10) < q * digits * 3.3220 bits.
+    # Integers only: q may be far beyond the float range.
+    top = a.entries[0]
+    entry_bits = max(
+        sum(m * (_bit_length(row[k]) + _bit_length(top[k])) for k, m in enumerate(numerators))
+        for row in a.entries
+    )
+    if entry_bits + q * digits * 33220 // 10000 > MAX_RADICAND_BITS:
+        raise CapExceededError(
+            "weighted geometric mean refused: its roots would need radicands of more than "
+            f"{MAX_RADICAND_BITS} bits; use weights with smaller denominators or a coarser tolerance"
+        )
 
     components: list[Fraction] = []
     exact = True
@@ -137,19 +162,19 @@ def weighted_geometric(
 
 
 def _power_iteration(
-    matrix: np.ndarray, tolerance: Fraction, max_iterations: int
+    matrix: np.ndarray, tolerance: Fraction
 ) -> np.ndarray:
     tol = float(tolerance)
     x = np.ones(matrix.shape[0])
     delta = math.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         y = matrix @ x
         ratios = y / x
         delta = ratios.max() / ratios.min() - 1.0
         x = y / y.max()
         if delta < tol:
             return x
-    raise ConvergenceError(max_iterations, delta)
+    raise ConvergenceError(MAX_ITERATIONS, delta)
 
 
 def _spectral_candidate(
@@ -157,7 +182,6 @@ def _spectral_candidate(
     exact_rows: list[list[Fraction]],
     method: str,
     tolerance: Fraction,
-    max_iterations: int,
 ) -> RankingCandidate:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -181,7 +205,7 @@ def _spectral_candidate(
         raise ValueError(
             f"{method} power iteration needs entries within the float range (about 1.8e308)"
         ) from None
-    approx = _power_iteration(matrix, tolerance, max_iterations)
+    approx = _power_iteration(matrix, tolerance)
     vec = normalize(tuple(Fraction(float(value)) for value in approx))
     n = len(vec)
     image = [sum(exact_rows[i][j] * vec[j] for j in range(n)) for i in range(n)]
@@ -199,7 +223,6 @@ def _spectral_candidate(
 def perron_vector(
     a: ReciprocalMatrix,
     tolerance: Fraction = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> RankingCandidate:
     """Rationalized principal eigenvector by power iteration.
 
@@ -208,19 +231,18 @@ def perron_vector(
     is evaluated exactly against the rational matrix.
     """
     rows = [list(row) for row in a.entries]
-    return _spectral_candidate(a, rows, "perron", tolerance, max_iterations)
+    return _spectral_candidate(a, rows, "perron", tolerance)
 
 
 def singular_vector(
     a: ReciprocalMatrix,
     tolerance: Fraction = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> RankingCandidate:
     """Rationalized left singular vector: power iteration on A A^T."""
     n = a.n
     e = a.entries
     gram = [[sum(e[i][k] * e[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    return _spectral_candidate(a, gram, "singular", tolerance, max_iterations)
+    return _spectral_candidate(a, gram, "singular", tolerance)
 
 
 def columns_common_cone(

@@ -237,6 +237,17 @@ class TestRank:
         err = capsys.readouterr().err
         assert "error: perron power iteration needs entries within the float range" in err
 
+    def test_large_weight_denominators_exit_three(self, files, capsys):
+        # The lcm q of the denominators is 971230541; q-th roots at the
+        # default tolerance would need radicands of billions of bits.
+        start = time.perf_counter()
+        code = main(["rank", files["circulant"], "--weights", "1/997,1/991,1/983,968288310/971230541"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "error: weighted geometric mean refused" in captured.err
+
     def test_tolerance_below_float_range(self, files, capsys):
         # Power iteration cannot meet a tolerance at or below float epsilon,
         # so it is refused before any iteration runs.
@@ -287,3 +298,31 @@ class TestConfig:
 
     def test_bad_cap(self, files):
         assert main(["decompose", files["circulant"], "--cap", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--cap", "2"], "enumeration cap must be at least 3"),
+            (["--budget", "0"], "sample budget must be positive"),
+            (["--tolerance", "0"], "tolerance must be positive"),
+            (["--tolerance", "abc"], "bad rational literal 'abc'"),
+        ],
+    )
+    def test_flag_messages(self, files, capsys, flags, message):
+        # Either side of the subcommand.
+        for argv in (["decompose", files["circulant"], *flags], [*flags, "decompose", files["circulant"]]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command", ["check", "decompose", "reversals", "perturbed", "rank", "generate", "self-check"]
+    )
+    def test_help_lists_global_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--json", "--cap", "--seed", "--tolerance", "--budget"):
+            assert flag in out

@@ -1,0 +1,140 @@
+"""Fuzz the command line in-process: no traceback, a known exit code.
+
+Random argv flags (``--json``, ``--cap``, ``--seed``, ``--budget``,
+``--tolerance``, and ``--weights``, ``--cycle``, ``--minimize``,
+``--summary``, ``--convexity`` where they apply) meet random matrix and
+vector file bytes: valid text and JSON matrices with n <= 6, mangled text,
+odd JSON shapes and invalid UTF-8.  ``effvec.cli.main`` runs in this process
+and starts no subprocess.  Every run must end with exit code 0, 1, 2 or 3,
+with nothing on stdout for 2 and 3.  A usage error found by argparse itself
+exits through ``SystemExit(2)``, as it does from the shell.
+
+``generate N`` and ``self-check --trials T`` are left out: they do work of
+order N**2 and T because the user asks for that much.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from effvec import format_matrix, format_vector, generate, matrix_to_json
+from effvec.cli import main
+from effvec.generators import KINDS
+
+rationals = st.sampled_from(
+    ["1", "2", "1/2", "3/7", "0", "-1", "0.25", "1e3", "1e-400", "1/0", "x", "1e99999", "9" * 50]
+)
+small_text = st.text(alphabet="0123456789/.-e x\n#{}[]\":,", max_size=60)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["1", "1/2", "a"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["n", "rows"]), inner),
+    max_leaves=12,
+)
+
+
+@st.composite
+def matrix_bytes(draw):
+    """File bytes and, for a valid matrix, its dimension (else None)."""
+    choice = draw(st.integers(0, 7))
+    if choice <= 4:
+        kind = draw(st.sampled_from(KINDS))
+        n = draw(st.integers(2 if kind in ("consistent", "random") else 3, 6))
+        a = generate(kind, n, seed=draw(st.integers(0, 5)))
+        text = json.dumps(matrix_to_json(a)) if choice == 0 else format_matrix(a)
+        if choice == 4:  # mangle one character
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + draw(st.sampled_from(["", "0", "x", "\n", "-", "{", "e9"])) + text[at + 1 :]
+            n = None
+        return text.encode(), n
+    if choice == 5:
+        return draw(small_text).encode(), None
+    if choice == 6:
+        return json.dumps({"rows": draw(json_values), "n": draw(json_values)}).encode(), None
+    return draw(st.binary(max_size=40)), None
+
+
+@st.composite
+def vector_bytes(draw, n):
+    choice = draw(st.integers(0, 5))
+    if choice <= 2:
+        size = n if n is not None and choice < 2 else draw(st.integers(1, 7))
+        values = draw(st.lists(st.fractions(min_value=1, max_value=9, max_denominator=9), min_size=size, max_size=size))
+        return format_vector(values).encode()
+    if choice == 3:
+        return json.dumps(draw(st.lists(rationals, max_size=7))).encode()
+    if choice == 4:
+        return draw(small_text).encode()
+    return draw(st.binary(max_size=20))
+
+
+@st.composite
+def weights(draw, n):
+    """Weights summing to 1 over lcm q (large q must be refused), or odd lists."""
+    if n is not None and draw(st.booleans()):
+        q = draw(st.sampled_from([n, 12, 60, 10**6, 971230541]))
+        return ",".join([f"1/{q}"] * (n - 1) + [f"{q - n + 1}/{q}"])
+    tokens = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/4", "1/997", "999/1000", "1/0", "x"])
+    return ",".join(draw(st.lists(tokens, min_size=1, max_size=7)))
+
+
+@st.composite
+def argvs(draw, matrix, vector, n):
+    command = draw(st.sampled_from(["check", "decompose", "reversals", "perturbed", "rank"]))
+    if command == "check":
+        args = [command, matrix, vector]
+    elif command == "decompose":
+        args = [command, matrix]
+        args += [flag for flag in ("--summary", "--convexity") if draw(st.booleans())]
+    elif command == "reversals":
+        args = [command, matrix] + ([vector] if draw(st.booleans()) else [])
+        if draw(st.booleans()):
+            cycles = ["1,2,3", "1,3,2", "1,2,3,4", "1 4 3 2", "1,2,3,4,5", "1,3,5,2,4,6", "2,1", "a", "1,1,2"]
+            args += ["--cycle", draw(st.sampled_from(cycles))]
+        if draw(st.booleans()):
+            args.append("--minimize")
+    elif command == "perturbed":
+        args = [command, draw(st.sampled_from(["classify", "canonicalize", "eff-set"])), matrix]
+    else:
+        args = [command, matrix]
+        if draw(st.booleans()):
+            args += ["--weights", draw(weights(n))]
+    flags = []
+    valid = draw(st.booleans())  # half the runs draw only valid flag values
+    if draw(st.booleans()):
+        flags.append("--json")
+    if draw(st.booleans()):
+        flags += ["--cap", str(draw(st.sampled_from([10, 3, 5, 12] + ([] if valid else [2]))))]
+    if draw(st.booleans()):
+        flags += ["--seed", str(draw(st.integers(-5, 5)))]
+    if draw(st.booleans()):
+        flags += ["--budget", str(draw(st.sampled_from([20, 1, 3] + ([] if valid else [0]))))]
+    if draw(st.booleans()):
+        tolerances = ["1/10", "1e-6", "1/1000000000", ""]
+        if not valid:
+            tolerances += ["0", "-1", "abc", "1e-20", "1e-400", "1e-9999", "1e99999"]
+        flags += ["--tolerance", draw(st.sampled_from(tolerances))]
+    return flags + args if draw(st.booleans()) else args + flags
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_never_raises(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    matrix, vector = root / "fuzz-matrix", root / "fuzz-vector"
+    content, n = data.draw(matrix_bytes())
+    matrix.write_bytes(content)
+    vector.write_bytes(data.draw(vector_bytes(n)))
+    argv = data.draw(argvs(str(matrix), str(vector), n))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == "", argv

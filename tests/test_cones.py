@@ -15,7 +15,6 @@ from effvec import (
     monomial_similarity,
     resolve_unit_cycle,
 )
-from effvec.cones import chain_solution, cone_extremes
 from helpers import fractions, identity_cycle, in_conic_hull, unit_cycle_fixture
 
 
@@ -41,7 +40,7 @@ class TestCycleProduct:
 
 class TestConeExtremes:
     def test_circulant_extremes_frozen(self, circulant4, subunit_cycle):
-        extremes = cone_extremes(circulant4, subunit_cycle)
+        extremes = efficiency_cone(circulant4, subunit_cycle).extremes
         expected = {
             fractions(1, 8, 4, 2),
             fractions(1, "1/2", "1/4", "1/8"),
@@ -57,29 +56,30 @@ class TestConeExtremes:
             assert is_efficient(circulant4, ext).efficient
 
     def test_chain_solution_solves_omitted_system(self, circulant4, subunit_cycle):
-        # Omitting edge t turns the other n-1 inequalities into equalities.
+        # Omitting edge t turns the other n-1 inequalities into equalities;
+        # below product 1, extreme ray t is that solution.
         edges = subunit_cycle.edges()
+        extremes = efficiency_cone(circulant4, subunit_cycle).extremes
         for omit in range(4):
-            w = chain_solution(circulant4, subunit_cycle, omit)
+            w = extremes[omit]
             for t, (i, j) in enumerate(edges):
                 if t != omit:
                     assert w[i] == circulant4.entries[i][j] * w[j]
 
     def test_product_above_one_rejected(self, circulant4):
         with pytest.raises(ValueError):
-            cone_extremes(circulant4, identity_cycle(4))
+            efficiency_cone(circulant4, identity_cycle(4))
 
     def test_unit_product_single_ray(self, consistent3):
-        extremes = cone_extremes(consistent3, identity_cycle(3))
-        assert len(extremes) == 1
         cone = efficiency_cone(consistent3, identity_cycle(3))
+        assert len(cone.extremes) == 1
         assert cone.singleton
 
     def test_subunit_cone_has_n_distinct_extremes(self, double4):
         for order in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
             cycle = HamiltonianCycle.from_vertices(order)
             if cycle_product(double4, cycle) < 1:
-                assert len(cone_extremes(double4, cycle)) == 4
+                assert len(efficiency_cone(double4, cycle).extremes) == 4
 
 
 class TestConeMembership:

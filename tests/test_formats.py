@@ -1,4 +1,4 @@
-"""Text and JSON wire formats: parsing, emission, round-trips, tampering."""
+"""Text and JSON wire formats: parsing, emission, round-trips."""
 
 import json
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from effvec import (
     HamiltonianCycle,
     ParseError,
-    decompose,
     format_matrix,
     format_rational,
     format_vector,
@@ -18,14 +17,7 @@ from effvec import (
     parse_matrix,
     parse_vector,
 )
-from effvec.formats import (
-    certificate_to_json,
-    cycle_from_json,
-    cycle_to_json,
-    decomposition_from_json,
-    decomposition_to_json,
-)
-from effvec.generators import KINDS
+from effvec.formats import certificate_to_json, cycle_to_json
 from helpers import fractions
 
 
@@ -62,6 +54,15 @@ class TestParseMatrix:
     def test_bad_json_shape(self):
         with pytest.raises(ParseError):
             parse_matrix('{"rows": [["1"]]}')
+        for rows in ("null", "5", "[1, 2]"):
+            with pytest.raises(ParseError, match="list of lists"):
+                parse_matrix('{"rows": ' + rows + "}")
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(ParseError, match="bad JSON"):
+            parse_matrix('{"rows": ' + "[" * 100_000)
+        with pytest.raises(ParseError, match="bad JSON"):
+            parse_vector("[" * 100_000)
 
 
 class TestVectors:
@@ -94,68 +95,12 @@ class TestRoundTrips:
             a = generate("random", 5, seed=seed)
             assert parse_matrix(json.dumps(matrix_to_json(a))) == a
 
-    def test_cycle_round_trip(self):
-        c = HamiltonianCycle.from_vertices((0, 3, 1, 2))
-        assert cycle_from_json(cycle_to_json(c)) == c
-        assert cycle_to_json(c) == [1, 4, 2, 3]
-
     def test_certificate_json_one_based(self, circulant4, double4):
+        assert cycle_to_json(HamiltonianCycle.from_vertices((0, 3, 1, 2))) == [1, 4, 2, 3]
         payload = certificate_to_json(is_efficient(circulant4, fractions(1, 1, 1, 1)))
         assert payload == {"status": "efficient", "cycle": [1, 4, 3, 2]}
         payload = certificate_to_json(is_efficient(double4, fractions(2, 4, 5, 4)))
         assert payload == {"status": "inefficient", "cut": [3]}
-
-    def test_decomposition_round_trip(self, circulant4, consistent3):
-        for a in (circulant4, consistent3):
-            d = decompose(a)
-            rebuilt = decomposition_from_json(
-                json.loads(json.dumps(decomposition_to_json(d)))
-            )
-            assert rebuilt.matrix == d.matrix
-            assert rebuilt.cones == d.cones
-            assert rebuilt.unit_cycles == d.unit_cycles
-            assert rebuilt.ray == d.ray
-
-    def test_decomposition_round_trip_every_kind(self):
-        for kind in KINDS:
-            for n in range(2 if kind in ("consistent", "random") else 3, 7):
-                d = decompose(generate(kind, n, seed=n))
-                payload = json.loads(json.dumps(decomposition_to_json(d)))
-                assert decomposition_from_json(payload) == d
-
-    def test_decomposition_dropped_cone_detected(self):
-        payload = decomposition_to_json(decompose(generate("random", 4, seed=0)))
-        del payload["cones"][0]
-        with pytest.raises(ParseError, match="cones"):
-            decomposition_from_json(payload)
-
-    def test_decomposition_extra_unit_cycle_detected(self, circulant4):
-        payload = decomposition_to_json(decompose(circulant4))
-        payload["unit_cycles"].append([1, 2, 3, 4])
-        with pytest.raises(ParseError, match="unit cycles"):
-            decomposition_from_json(payload)
-
-    def test_decomposition_wrong_ray_detected(self, circulant4, consistent3):
-        payload = decomposition_to_json(decompose(consistent3))
-        payload["ray"] = ["1", "2", "2"]
-        with pytest.raises(ParseError, match="ray"):
-            decomposition_from_json(payload)
-        payload = decomposition_to_json(decompose(circulant4))
-        payload["ray"] = ["1", "1", "1", "1"]
-        with pytest.raises(ParseError, match="ray"):
-            decomposition_from_json(payload)
-
-    def test_decomposition_tamper_detected(self, circulant4):
-        payload = decomposition_to_json(decompose(circulant4))
-        payload["cones"][0]["product"] = "1/15"
-        with pytest.raises(ParseError, match="product"):
-            decomposition_from_json(payload)
-
-    def test_decomposition_tampered_extreme_detected(self, circulant4):
-        payload = decomposition_to_json(decompose(circulant4))
-        payload["cones"][0]["extremes"][0] = ["1", "9", "4", "2"]
-        with pytest.raises(ParseError):
-            decomposition_from_json(payload)
 
 
 class TestFormatting:

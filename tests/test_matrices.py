@@ -79,7 +79,7 @@ class TestReciprocalMatrix:
 
 class TestMonomialSimilarity:
     def test_identity(self, circulant4):
-        t = MonomialTransform.identity(4)
+        t = MonomialTransform(scale=fractions(1, 1, 1, 1), perm=(0, 1, 2, 3))
         assert monomial_similarity(circulant4, t) == circulant4
 
     def test_inverse_round_trip(self, circulant4):

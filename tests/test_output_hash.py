@@ -1,10 +1,12 @@
-"""Exact outputs on the fixed corpus of scripts/output_hash.py stay identical.
+"""Exact outputs on the fixed corpora of scripts/output_hash.py stay identical.
 
-The corpus covers decompose, min_reversal_vector on every cone,
+The core corpus covers decompose, min_reversal_vector on every cone,
 efficiency_cone and count_reversals on every unit cycle, membership,
 is_efficient up to n = 150, columns_common_cone, detect_column_perturbed
-and convexity_report.  A change to the exact core that moves any of these
-outputs changes the hash.
+and convexity_report.  The CLI corpus covers every subcommand of
+effvec.cli.main in text and JSON, with its options and error paths: exit
+codes, stdout and stderr.  A change that moves any of these outputs changes
+a hash.
 """
 
 import os
@@ -13,7 +15,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPECTED = "14427 results, sha256 ae0612397d9e2183911501f6199a83290b7c5c13ee4bc07d980855686869d30b"
+EXPECTED = [
+    "14427 results, sha256 ae0612397d9e2183911501f6199a83290b7c5c13ee4bc07d980855686869d30b",
+    "cli 595 results, sha256 7ac2e4c3d7ebfdee0ead86ae44fa4d9d327881ff5f94f6868184a6e023d95467",
+]
 
 
 def test_output_hash_unchanged():
@@ -27,4 +32,4 @@ def test_output_hash_unchanged():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == EXPECTED
+    assert result.stdout.splitlines() == EXPECTED

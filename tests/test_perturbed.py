@@ -34,7 +34,7 @@ class TestDetection:
         form = detect_column_perturbed(perturbed5)
         assert form is not None
         assert form.index == 0
-        assert form.transform == MonomialTransform.identity(5)
+        assert form.transform == MonomialTransform(scale=fractions(1, 1, 1, 1, 1), perm=(0, 1, 2, 3, 4))
         assert form.canonical == perturbed5
 
     def test_double4_already_canonical(self, double4):

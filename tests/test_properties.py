@@ -187,9 +187,7 @@ def test_cone_closed_under_entrywise_products_of_squares(pair):
     below, _ = enumerate_cycles(squared)
     assume(below)
     cycle = below[0]
-    from effvec import cone_extremes
-
-    extremes = cone_extremes(squared, cycle)
+    extremes = efficiency_cone(squared, cycle).extremes
     u, v = extremes[0], extremes[-1]
     product = tuple(ui * vi for ui, vi in zip(u, v))
     assert efficiency_cone(fourth, cycle).contains(product)

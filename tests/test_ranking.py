@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from effvec import (
+    CapExceededError,
     ConvergenceError,
     HamiltonianCycle,
     column_vector,
@@ -99,6 +100,15 @@ class TestWeightedGeometric:
         assert not c.exact
         assert max(v.denominator for v in c.vector) == 10**402
 
+    def test_weight_denominators_bounded(self):
+        # A lcm of q = 1000 still gives a candidate; near 10**9 the q-th
+        # roots are refused before any power is taken.
+        a = generate("random", 4, seed=0)
+        c = weighted_geometric(a, weights=fractions("1/1000", "1/1000", "1/1000", "997/1000"))
+        assert c.certificate == is_efficient(a, c.vector)
+        with pytest.raises(CapExceededError, match="weighted geometric mean refused"):
+            weighted_geometric(a, weights=fractions("1/997", "1/991", "1/983", "968288310/971230541"))
+
 
 def _large_ratio_matrix(exponent: int):
     big = Fraction(10**exponent)
@@ -145,9 +155,10 @@ class TestSpectral:
                 assert candidate.residual < Fraction(1, 10**6)
                 assert not candidate.exact or candidate.residual == 0
 
-    def test_convergence_cap(self, circulant4):
+    def test_convergence_cap(self):
+        # |lambda_2| / lambda_1 = 1 - 6e-9: MAX_ITERATIONS steps cannot reach 1e-12.
         with pytest.raises(ConvergenceError):
-            perron_vector(circulant4, tolerance=Fraction(1, 10**12), max_iterations=0)
+            perron_vector(_large_ratio_matrix(25), tolerance=Fraction(1, 10**12))
 
     def test_status_recorded_on_random_sweep(self):
         # No general efficiency guarantee; the call must still certify.
