@@ -95,6 +95,8 @@ def _matrix_from_json(payload: Any) -> ReciprocalMatrix:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("matrix JSON 'rows' must be a list of lists", "matrix")
     n = payload.get("n", len(rows))
+    if type(n) is not int:  # also refuses booleans
+        raise ParseError("matrix JSON 'n' must be an integer", "matrix")
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}", "matrix")
     parsed = []

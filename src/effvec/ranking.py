@@ -2,19 +2,20 @@
 
 Columns of a reciprocal matrix are always efficient; weighted geometric
 means of columns are too.  Spectral candidates (the Perron vector and the
-left singular vector) come from floating power iteration, are rationalized
-exactly, and can certify either way.  Every candidate carries the exact
-certificate computed for the vector actually returned.
+left singular vector) come from a float power iteration whose row products
+are correctly rounded ``math.fsum`` sums, so they are the same on every
+platform.  They are rationalized exactly and can certify either way.  Every
+candidate carries the exact certificate computed for the vector actually
+returned.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .decomposition import DEFAULT_CYCLE_CAP, all_cycles
 from .digraph import EfficiencyCertificate, HamiltonianCycle, build_digraph, is_efficient
@@ -161,17 +162,29 @@ def weighted_geometric(
     )
 
 
-def _power_iteration(
-    matrix: np.ndarray, tolerance: Fraction
-) -> np.ndarray:
+def _power_iteration(rows: list[list[float]], tolerance: Fraction) -> list[float]:
+    """The last iterate, scaled to maximum 1, once the spread of the ratios
+    between successive iterates is below ``tolerance``.
+
+    ``math.fsum`` is correctly rounded, so the iterates do not depend on the
+    platform or the Python version (``sum`` of floats changed in 3.12).  An
+    iterate with a zero or non-finite component has left the float range;
+    the iteration stops there.
+    """
     tol = float(tolerance)
-    x = np.ones(matrix.shape[0])
+    x = [1.0] * len(rows)
     delta = math.inf
-    for _ in range(MAX_ITERATIONS):
-        y = matrix @ x
-        ratios = y / x
-        delta = ratios.max() / ratios.min() - 1.0
-        x = y / y.max()
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        try:
+            y = [math.fsum(map(operator.mul, row, x)) for row in rows]
+        except OverflowError:  # an intermediate sum beyond the float range
+            raise ConvergenceError(iteration, delta) from None
+        ratios = [yi / xi for yi, xi in zip(y, x)]
+        delta = max(ratios) / min(ratios) - 1.0
+        top = max(y)
+        x = [yi / top for yi in y]
+        if not all(0.0 < xi < math.inf for xi in x):
+            raise ConvergenceError(iteration, delta)
         if delta < tol:
             return x
     raise ConvergenceError(MAX_ITERATIONS, delta)
@@ -200,13 +213,13 @@ def _spectral_candidate(
             residual=Fraction(0),
         )
     try:
-        matrix = np.array([[float(v) for v in row] for row in exact_rows])
+        matrix = [[float(v) for v in row] for row in exact_rows]
     except OverflowError:
         raise ValueError(
             f"{method} power iteration needs entries within the float range (about 1.8e308)"
         ) from None
     approx = _power_iteration(matrix, tolerance)
-    vec = normalize(tuple(Fraction(float(value)) for value in approx))
+    vec = normalize(tuple(Fraction(value) for value in approx))
     n = len(vec)
     image = [sum(exact_rows[i][j] * vec[j] for j in range(n)) for i in range(n)]
     lam = max(image[i] / vec[i] for i in range(n))
@@ -234,15 +247,29 @@ def perron_vector(
     return _spectral_candidate(a, rows, "perron", tolerance)
 
 
+def _gram(a: ReciprocalMatrix) -> list[list[Fraction]]:
+    """A A^T, built on integers.
+
+    Row i of A is N_i / L_i, with L_i the lcm of the row's denominators (the
+    numerators ``num[k][i]`` of its transpose), so entry (i, j) is
+    sum_k N_ik N_jk / (L_i L_j).
+    """
+    n = a.n
+    num = a._numerators
+    lcms = [math.lcm(*(num[k][i] for k in range(n))) for i in range(n)]
+    scaled = [[num[i][k] * (lcms[i] // num[k][i]) for k in range(n)] for i in range(n)]
+    return [
+        [Fraction(sum(map(operator.mul, scaled[i], scaled[j])), lcms[i] * lcms[j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def singular_vector(
     a: ReciprocalMatrix,
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> RankingCandidate:
     """Rationalized left singular vector: power iteration on A A^T."""
-    n = a.n
-    e = a.entries
-    gram = [[sum(e[i][k] * e[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    return _spectral_candidate(a, gram, "singular", tolerance)
+    return _spectral_candidate(a, _gram(a), "singular", tolerance)
 
 
 def columns_common_cone(

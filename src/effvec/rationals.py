@@ -91,7 +91,16 @@ def nth_root_floor(x: int, n: int) -> int:
         return x
     if n == 2:
         return math.isqrt(x)
-    guess = 1 << ((x.bit_length() + n - 1) // n)
+    # Newton from above falls monotonically to the floor, but from a start
+    # up to twice the root each step shrinks it only by about 1 - 1/n.  So
+    # start just above the root, from a float estimate of its top bits: its
+    # relative error is far below the 2**-24 margin.  Should the start still
+    # miss, 2**ceil(bits/n) is always above the root.
+    log_root = math.log2(x) / n
+    shift = max(0, int(log_root) - 60)
+    guess = (int(2.0 ** (log_root - shift) * (1 + 2.0**-24)) + 1) << shift
+    if guess**n <= x:
+        guess = 1 << ((x.bit_length() + n - 1) // n)
     while True:
         better = ((n - 1) * guess + x // guess ** (n - 1)) // n
         if better >= guess:

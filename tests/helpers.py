@@ -268,3 +268,30 @@ def semicomplete_digraphs(n: int):
             adj[i][j] = kind != 1
             adj[j][i] = kind != 0
         yield DominanceDigraph(tuple(map(tuple, adj)))
+
+
+# --- references for the ranking arithmetic ----------------------------------
+
+
+def gram_reference(a: ReciprocalMatrix) -> list[list[Fraction]]:
+    """A A^T from n**3 Fraction products: the comprehension the integer
+    gram of ``singular_vector`` replaced."""
+    n = a.n
+    e = a.entries
+    return [[sum(e[i][k] * e[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def nth_root_floor_reference(x: int, n: int) -> int:
+    """floor(x ** (1/n)) by Newton iteration from 2**ceil(bits/n): the start
+    ``nth_root_floor`` used before its float-seeded one."""
+    if x < 2 or n == 1:
+        return x
+    guess = 1 << ((x.bit_length() + n - 1) // n)
+    while True:
+        better = ((n - 1) * guess + x // guess ** (n - 1)) // n
+        if better >= guess:
+            break
+        guess = better
+    while guess**n > x:
+        guess -= 1
+    return guess

@@ -3,11 +3,15 @@
 Random argv flags (``--json``, ``--cap``, ``--seed``, ``--budget``,
 ``--tolerance``, and ``--weights``, ``--cycle``, ``--minimize``,
 ``--summary``, ``--convexity`` where they apply) meet random matrix and
-vector file bytes: valid text and JSON matrices with n <= 6, mangled text,
-odd JSON shapes and invalid UTF-8.  ``effvec.cli.main`` runs in this process
+vector file bytes: valid text and JSON matrices with n <= 6, valid matrices
+with entries 10**k for |k| <= 320 (beyond the float range, so ``rank``
+meets the overflow and underflow of its power iteration), mangled text, odd
+JSON shapes and invalid UTF-8.  ``effvec.cli.main`` runs in this process
 and starts no subprocess.  Every run must end with exit code 0, 1, 2 or 3,
 with nothing on stdout for 2 and 3.  A usage error found by argparse itself
-exits through ``SystemExit(2)``, as it does from the shell.
+exits through ``SystemExit(2)``, as it does from the shell.  A second test
+runs only ``rank`` on the 10**k matrices, so that those paths are reached
+on every run of the suite.
 
 ``generate N`` and ``self-check --trials T`` are left out: they do work of
 order N**2 and T because the user asks for that much.
@@ -38,7 +42,7 @@ json_values = st.recursive(
 @st.composite
 def matrix_bytes(draw):
     """File bytes and, for a valid matrix, its dimension (else None)."""
-    choice = draw(st.integers(0, 7))
+    choice = draw(st.integers(0, 8))
     if choice <= 4:
         kind = draw(st.sampled_from(KINDS))
         n = draw(st.integers(2 if kind in ("consistent", "random") else 3, 6))
@@ -53,7 +57,21 @@ def matrix_bytes(draw):
         return draw(small_text).encode(), None
     if choice == 6:
         return json.dumps({"rows": draw(json_values), "n": draw(json_values)}).encode(), None
-    return draw(st.binary(max_size=40)), None
+    if choice == 7:
+        return draw(st.binary(max_size=40)), None
+    return draw(power_of_ten_matrix_bytes())
+
+
+@st.composite
+def power_of_ten_matrix_bytes(draw):
+    """A valid text matrix with entries 10**k, |k| <= 320, and its dimension."""
+    n = draw(st.integers(2, 6))
+    exponents = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            exponents[i][j] = draw(st.integers(-320, 320))
+            exponents[j][i] = -exponents[i][j]
+    return "\n".join([str(n)] + [" ".join(f"1e{k}" for k in row) for row in exponents]).encode(), n
 
 
 @st.composite
@@ -119,15 +137,9 @@ def argvs(draw, matrix, vector, n):
     return flags + args if draw(st.booleans()) else args + flags
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_cli_never_raises(tmp_path_factory, data):
-    root = tmp_path_factory.getbasetemp()
-    matrix, vector = root / "fuzz-matrix", root / "fuzz-vector"
-    content, n = data.draw(matrix_bytes())
-    matrix.write_bytes(content)
-    vector.write_bytes(data.draw(vector_bytes(n)))
-    argv = data.draw(argvs(str(matrix), str(vector), n))
+def run_main(argv):
+    """Run ``main(argv)``, check its exit code and its stdout, and return the
+    exit code and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -138,3 +150,32 @@ def test_cli_never_raises(tmp_path_factory, data):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     if code in (2, 3):
         assert out.getvalue() == "", argv
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_never_raises(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    matrix, vector = root / "fuzz-matrix", root / "fuzz-vector"
+    content, n = data.draw(matrix_bytes())
+    matrix.write_bytes(content)
+    vector.write_bytes(data.draw(vector_bytes(n)))
+    run_main(data.draw(argvs(str(matrix), str(vector), n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_beyond_float_range(tmp_path_factory, data):
+    """``rank`` on entries up to 10**±320: an entry or a gram entry beyond
+    the float range is refused (exit 2), and an iterate that leaves it ends
+    the power iteration (exit 1), never a traceback."""
+    matrix = tmp_path_factory.getbasetemp() / "fuzz-power-of-ten-matrix"
+    content, _ = data.draw(power_of_ten_matrix_bytes())
+    matrix.write_bytes(content)
+    flags = data.draw(st.sampled_from([[], ["--json"], ["--tolerance", "1/1000"]]))
+    code, err = run_main(["rank", str(matrix)] + flags)
+    if code == 1:
+        assert "no convergence after" in err
+    elif code == 2:
+        assert "float range" in err

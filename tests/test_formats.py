@@ -58,6 +58,14 @@ class TestParseMatrix:
             with pytest.raises(ParseError, match="list of lists"):
                 parse_matrix('{"rows": ' + rows + "}")
 
+    @pytest.mark.parametrize("n", ['"2"', "2.0", "true", "null", "[2]"])
+    def test_json_n_must_be_an_integer(self, n):
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            parse_matrix('{"n": ' + n + ', "rows": [["1", "2"], ["1/2", "1"]]}')
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            parse_matrix('{"n": ' + n + ', "rows": [["1"]]}')
+        assert parse_matrix('{"n": 2, "rows": [["1", "2"], ["1/2", "1"]]}').n == 2
+
     def test_deeply_nested_json(self):
         with pytest.raises(ParseError, match="bad JSON"):
             parse_matrix('{"rows": ' + "[" * 100_000)

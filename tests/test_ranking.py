@@ -1,5 +1,6 @@
 """Ranking candidates: columns, geometric means, spectral vectors."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,7 +22,11 @@ from effvec import (
     singular_vector,
     weighted_geometric,
 )
-from helpers import fractions, matrix_of
+from effvec.formats import format_vector
+from effvec.generators import KINDS
+from effvec.rationals import format_rational
+from effvec.ranking import MAX_ITERATIONS, _gram
+from helpers import fractions, gram_reference, matrix_of
 
 
 class TestColumnVector:
@@ -166,6 +171,110 @@ class TestSpectral:
             a = generate("random", 4, seed=seed)
             candidate = perron_vector(a)
             assert candidate.certificate.efficient in (True, False)
+
+
+class TestSpectralGolden:
+    """The exact spectral outputs, pinned.
+
+    ``math.fsum`` rounds each row product correctly, and every other float
+    operation of the power iteration is one correctly rounded IEEE step, so
+    these outputs are the same on every platform, BLAS build and Python
+    version.  A change here changes what ``effvec rank`` prints.
+    """
+
+    def test_random_six(self):
+        a = generate("random", 6, seed=0)
+        perron, singular = perron_vector(a), singular_vector(a)
+        assert format_vector(perron.vector) == (
+            "1 1924721835569681/4318076007586280 2768772348268651/2159038003793140 "
+            "942707853585707/2590845604551768 933141824729059/1619278502844855 "
+            "2251799813685248/1619278502844855"
+        )
+        assert perron.residual == Fraction(
+            64752475003949315283787, 20948662754773202096486696123105280
+        )
+        assert format_vector(singular.vector) == (
+            "1 8862798568238869/36028797018963968 4385895930468859/4503599627370496 "
+            "7618775581977295/36028797018963968 8475856557662381/36028797018963968 "
+            "8704269220319395/18014398509481984"
+        )
+        assert singular.residual == Fraction(
+            434382759845262181833087793, 12880141394702956786023462456671600640
+        )
+
+    def test_random_twenty_four(self):
+        # sha256 of the vector string, "|", and the residual string.
+        a = generate("random", 24, seed=0)
+        digests = [
+            hashlib.sha256(
+                (format_vector(c.vector) + "|" + format_rational(c.residual)).encode()
+            ).hexdigest()
+            for c in (perron_vector(a), singular_vector(a))
+        ]
+        assert digests == [
+            "d18c9da5ba5778648f03adb0ca51fc1e077c0929b94bf303bc5a3f16b731b3be",
+            "410c8388052776eaf4cce7dbd1b0fd0c2d092c1227969c2f6b56daec12fb1b92",
+        ]
+
+
+class TestIntegerGram:
+    def test_matches_fraction_gram_every_kind(self):
+        for kind in KINDS:
+            for n in range(2 if kind in ("consistent", "random") else 3, 8):
+                for seed in range(3):
+                    a = generate(kind, n, seed=seed)
+                    assert _gram(a) == gram_reference(a), (kind, n, seed)
+
+    def test_matches_fraction_gram_on_coprime_entries(self):
+        # 2**p - 1 for distinct primes p are pairwise coprime, so no lcm of
+        # the row denominators cancels.
+        mersenne = iter(2**p - 1 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71))
+        n = 5
+        rows = [[Fraction(1)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = Fraction(next(mersenne), next(mersenne))
+                rows[j][i] = 1 / rows[i][j]
+        a = matrix_of(rows)
+        assert _gram(a) == gram_reference(a)
+
+
+# Outcomes at the parent of the pure-Python iteration, on the 3x3 matrix with
+# a01 = a02 = 10**e1 and a12 = 10**e2: the certificate's verdict, or the
+# exception class.  The gram of e1 >= 155 has entries beyond the float range.
+EXTREME_OUTCOMES = {
+    (e1, e2): (
+        True if e2 == 1 else ConvergenceError,
+        {1: True, 100: False}.get(e2, ValueError) if e1 == 150 else ValueError,
+    )
+    for e1 in (150, 200, 250, 300, 307)
+    for e2 in (1, 100, 200, 300)
+}
+# Here every iterate stays inside the float range, but the three eigenvalues
+# 1 + c**(1/3) w + c**(-1/3) / w (w a cube root of 1, c = 10**-e2) have
+# moduli equal to within 10**-30, so the iteration circles until the cap.
+AT_THE_CAP = {(150, 100), (200, 100)}
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("e1, e2", sorted(EXTREME_OUTCOMES))
+    def test_extreme_entries(self, e1, e2):
+        big, mid = Fraction(10**e1), Fraction(10**e2)
+        a = matrix_of([[1, big, big], [1 / big, 1, mid], [1 / big, 1 / mid, 1]])
+        for method, expected in zip((perron_vector, singular_vector), EXTREME_OUTCOMES[e1, e2]):
+            if isinstance(expected, bool):
+                assert method(a).certificate.efficient is expected
+                continue
+            with pytest.raises(expected) as caught:
+                method(a)
+            if expected is ValueError:
+                assert "float range" in str(caught.value)
+            elif (e1, e2) in AT_THE_CAP:
+                assert caught.value.iterations == MAX_ITERATIONS
+            else:
+                # An iterate underflowed to 0: the loop stops there.
+                assert caught.value.iterations < 10
+                assert f"after {caught.value.iterations} iterations" in str(caught.value)
 
 
 class TestColumnsCommonCone:

@@ -1,5 +1,6 @@
 """Exact rational helpers: conversion, parsing, formatting, integer roots."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from effvec.rationals import (
     parse_rational,
     rationalize,
 )
+from helpers import nth_root_floor_reference
 
 
 class TestRationalize:
@@ -89,3 +91,16 @@ class TestRoots:
 
     def test_unit_root(self):
         assert nth_root_exact(Fraction(1), 7) == Fraction(1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 64, 257, 1000])
+    def test_floor_root_matches_reference_near_powers(self, n):
+        for k in (2, 3, 10, 12345, 2**40 + 15):
+            for x in (k**n - 1, k**n, k**n + 1):
+                assert nth_root_floor(x, n) == nth_root_floor_reference(x, n), (k, n, x - k**n)
+
+    def test_floor_root_matches_reference_on_random_radicands(self):
+        rng = random.Random(8)
+        cases = [(2**70000 - 1, 3), (2**70000 - 1, 1000), (2**70000, 1000)]
+        cases += [(rng.getrandbits(rng.randint(1, 70000)), rng.randint(3, 1000)) for _ in range(20)]
+        for x, n in cases:
+            assert nth_root_floor(x, n) == nth_root_floor_reference(x, n), (x.bit_length(), n)

@@ -1,7 +1,12 @@
-"""The public surface: every exported name resolves, so none can linger."""
+"""The public surface: every exported name resolves, so none can linger,
+and the package loads no third-party module."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +23,16 @@ def test_package_names_resolve():
 def test_module_names_resolve(name):
     module = importlib.import_module(f"effvec.{name}")
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # A fresh interpreter: this one may have numpy loaded by another test.
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, effvec.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
