@@ -163,13 +163,13 @@ def weighted_geometric(
 
 
 def _power_iteration(rows: list[list[float]], tolerance: Fraction) -> list[float]:
-    """The last iterate, scaled to maximum 1, once the spread of the ratios
-    between successive iterates is below ``tolerance``.
+    """Iterate x -> A x / max(A x) until the ratios of successive iterates
+    spread by less than ``tolerance``.
 
-    ``math.fsum`` is correctly rounded, so the iterates do not depend on the
-    platform or the Python version (``sum`` of floats changed in 3.12).  An
-    iterate with a zero or non-finite component has left the float range;
-    the iteration stops there.
+    ``math.fsum`` rounds each row product correctly, so the iterates do not
+    depend on the platform or the Python version (``sum`` of floats rounds
+    differently from 3.12 on).  An iterate with a zero or non-finite
+    component has left the float range, and the loop stops there.
     """
     tol = float(tolerance)
     x = [1.0] * len(rows)

@@ -91,11 +91,9 @@ def nth_root_floor(x: int, n: int) -> int:
         return x
     if n == 2:
         return math.isqrt(x)
-    # Newton from above falls monotonically to the floor, but from a start
-    # up to twice the root each step shrinks it only by about 1 - 1/n.  So
-    # start just above the root, from a float estimate of its top bits: its
-    # relative error is far below the 2**-24 margin.  Should the start still
-    # miss, 2**ceil(bits/n) is always above the root.
+    # From 2**ceil(bits/n), up to twice the root, Newton shrinks by only
+    # about 1 - 1/n a step.  Start 2**-24 above a float estimate of the root
+    # instead (its error is far smaller), and fall back should it miss.
     log_root = math.log2(x) / n
     shift = max(0, int(log_root) - 60)
     guess = (int(2.0 ** (log_root - shift) * (1 + 2.0**-24)) + 1) << shift
