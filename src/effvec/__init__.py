@@ -18,7 +18,6 @@ from .cones import (
 from .decomposition import (
     ConvexityReport,
     Decomposition,
-    all_cycles,
     convexity_report,
     decompose,
     enumerate_cycles,
@@ -97,7 +96,6 @@ __all__ = [
     "ReciprocalMatrix",
     "ReversalReport",
     "Vec",
-    "all_cycles",
     "as_weight_vector",
     "build_digraph",
     "classify_perturbation",

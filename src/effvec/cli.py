@@ -20,7 +20,13 @@ from typing import Sequence
 
 from .bruteforce import dominance_search, exhaustive_hamiltonian, probe
 from .cones import cycle_product
-from .decomposition import DEFAULT_CYCLE_CAP, convexity_report, decompose, membership
+from .decomposition import (
+    DEFAULT_CYCLE_CAP,
+    convexity_report,
+    decompose,
+    enumerate_cycles,
+    membership,
+)
 from .digraph import HamiltonianCycle, build_digraph, improve, is_efficient, strongly_connected
 from .errors import CapExceededError, ConvergenceError, EffvecError, ParseError
 from .formats import (
@@ -35,6 +41,7 @@ from .formats import (
     parse_vector,
 )
 from .generators import KINDS, generate, random_weight_vector
+from .matrices import is_consistent
 from .perturbed import (
     classify_perturbation,
     detect_column_perturbed,
@@ -118,18 +125,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     a = parse_matrix(_read_text(args.matrix))
-    d = decompose(a, cap=args.cap)
     report = None
-    if args.convexity:
-        report = convexity_report(d, samples=args.budget, seed=args.seed)
+    if args.summary and not args.convexity and not is_consistent(a):
+        # Counts need no cone: below product 1 every cone has n extreme rays.
+        d = None
+        below, unit = enumerate_cycles(a, cap=args.cap)
+        cones, unit_cycles, extremes = len(below), len(unit), [a.n] * len(below)
+    else:
+        d = decompose(a, cap=args.cap)
+        cones, unit_cycles = len(d.cones), len(d.unit_cycles)
+        extremes = [len(c.extremes) for c in d.cones]
+        if args.convexity:
+            report = convexity_report(d, samples=args.budget, seed=args.seed)
     if args.json:
-        payload = decomposition_to_json(d)
         if args.summary:
-            payload = {
-                "cones": len(d.cones),
-                "unit_cycles": len(d.unit_cycles),
-                "extremes_per_cone": [len(c.extremes) for c in d.cones],
-            }
+            payload = {"cones": cones, "unit_cycles": unit_cycles, "extremes_per_cone": extremes}
+        else:
+            payload = decomposition_to_json(d)
         if report is not None:
             convexity = {"verdict": report.verdict, "reason": report.reason}
             if report.witness is not None:
@@ -143,16 +155,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         _emit_json(payload)
         return EXIT_OK
 
-    if d.ray is not None:
+    if d is not None and d.ray is not None:
         print("consistent matrix: efficient set is the single ray")
         print(f"ray: {format_vector(d.ray)}")
-    print(f"cones (product < 1): {len(d.cones)}")
-    print(f"unit-product cycles: {len(d.unit_cycles)}")
+    print(f"cones (product < 1): {cones}")
+    print(f"unit-product cycles: {unit_cycles}")
     if args.summary:
-        print(
-            "extremes per cone:",
-            " ".join(str(len(c.extremes)) for c in d.cones) or "-",
-        )
+        print("extremes per cone:", " ".join(map(str, extremes)) or "-")
     else:
         for k, cone in enumerate(d.cones, start=1):
             print(
@@ -315,6 +324,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         if len(weights) != a.n:
             raise ParseError(f"expected {a.n} weights, got {len(weights)}")
 
+    # First, so that a matrix past the cycle cap is refused before any
+    # candidate is computed.
+    common = columns_common_cone(a, cap=args.cap)
     candidates = [column_vector(a, k) for k in range(a.n)]
     candidates.append(weighted_geometric(a, weights=weights, tolerance=args.tolerance))
     try:
@@ -323,7 +335,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     except ConvergenceError as exc:
         print(f"power iteration did not converge: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    common = columns_common_cone(a, cap=args.cap)
 
     if args.json:
         _emit_json(

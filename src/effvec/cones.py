@@ -61,38 +61,47 @@ def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], lis
     return R, S
 
 
-def _ray(order: Sequence[int], R: list[int], S: list[int], omit: int) -> Vec:
-    """The chain solution with edge ``omit`` left out, from the prefix products.
+def _ray(order: Sequence[int], R: list[int], S: list[int], omit: int) -> tuple[list[int], list[int]]:
+    """The chain solution with edge ``omit`` left out, as unreduced p[v]/q[v].
 
     Solving every other edge as an equality gives 1/P_j at cycle positions
     j <= omit and Pi/P_j beyond, with Pi = R[n]/S[n].  Position 0 holds
     vertex 0 with P_0 = 1, so the vector is already canonical.
     """
     n = len(order)
-    w: list[Fraction] = [Fraction(0)] * n
+    p, q = [0] * n, [0] * n
     for j, v in enumerate(order):
-        w[v] = Fraction(S[j], R[j]) if j <= omit else Fraction(R[n] * S[j], S[n] * R[j])
-    return tuple(w)
+        if j <= omit:
+            p[v], q[v] = S[j], R[j]
+        else:
+            p[v], q[v] = R[n] * S[j], S[n] * R[j]
+    return p, q
 
 
 def _extremes(order: Sequence[int], R: list[int], S: list[int]) -> tuple[Vec, ...]:
     """All extreme rays, in the order of the omitted edge, from one chain.
 
-    The ray omitting edge k agrees with the ray omitting the last edge at
-    positions j <= k and with the ray omitting edge 0 beyond, so the n rays
+    Position j of the ray omitting the last edge holds 1/P_j, and of the
+    ray omitting edge 0, Pi/P_j.  The ray omitting edge k agrees with the
+    first at positions j <= k and with the second beyond, so the n rays
     share 2n Fractions.  They are pairwise distinct exactly when the cycle
     product differs from 1; at product 1 they all coincide.
     """
     n = len(order)
-    if R[n] > S[n]:
+    r, s = R[n], S[n]
+    if r > s:
         raise ValueError("cycle product exceeds 1; the cone is empty")
-    inverse = _ray(order, R, S, n - 1)
-    if R[n] == S[n]:
-        return (inverse,)
-    w = list(_ray(order, R, S, 0))
+    inverse = list(map(Fraction, S[:n], R[:n]))  # by position
+    w = [None] * n  # by vertex
+    if r == s:
+        for v, x in zip(order, inverse):
+            w[v] = x
+        return (tuple(w),)
+    for v, x, y in zip(order, S, R):
+        w[v] = Fraction(r * x, s * y)
     rays = []
-    for v in order:
-        w[v] = inverse[v]
+    for v, x in zip(order, inverse):
+        w[v] = x
         rays.append(tuple(w))
     return tuple(rays)
 
@@ -132,15 +141,16 @@ class EfficiencyCone:
 def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyCone:
     """Assemble the cone record for a cycle with product at most 1."""
     R, S = _chain(a, cycle)
-    extremes = _extremes(cycle.order, R, S)  # raises when the product exceeds 1
-    product = Fraction(R[-1], S[-1])
-    inequalities = tuple((i, j, a.entries[i][j]) for i, j in cycle.edges())
+    order = cycle.order
+    extremes = _extremes(order, R, S)  # raises when the product exceeds 1
+    entries = a.entries
+    after = order[1:] + order[:1]
     return EfficiencyCone(
         cycle=cycle,
-        product=product,
-        inequalities=inequalities,
+        product=Fraction(R[-1], S[-1]),
+        inequalities=tuple(zip(order, after, [entries[i][j] for i, j in zip(order, after)])),
         extremes=extremes,
-        singleton=product == 1,
+        singleton=R[-1] == S[-1],
     )
 
 

@@ -3,11 +3,13 @@
 For an inconsistent matrix, the efficient vectors are exactly the union of
 the cones of Hamiltonian cycles whose entry product is strictly below 1;
 cycles at product exactly 1 contribute single rays already absorbed by that
-union.  Enumeration walks all (n-1)! cycles anchored at vertex 0, which is
-refused beyond a configurable cap instead of silently taking forever, and
-splits them once into the sub-unit and the unit cycles.  A vector lies in a
-cycle's cone exactly when every cycle edge is an edge of its dominance
-digraph.
+union.  One depth-first walker lists the cycles anchored at vertex 0 through
+a given set of edges, in lexicographic order, with each product carried as
+integer prefix products.  Over all edges it visits the (n-1)! cycles once
+and splits them into the sub-unit and the unit cycles; that enumeration is
+refused beyond a configurable cap instead of silently taking forever.  A
+vector lies in a cycle's cone exactly when every cycle edge is an edge of
+its dominance digraph, so membership walks only that digraph's edges.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cones import EfficiencyCone, _chain, efficiency_cone
-from .digraph import HamiltonianCycle, build_digraph, is_efficient
+from .cones import EfficiencyCone, efficiency_cone
+from .digraph import HamiltonianCycle, build_digraph, is_efficient, strongly_connected
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
 
@@ -28,7 +30,6 @@ __all__ = [
     "DEFAULT_CYCLE_CAP",
     "Decomposition",
     "ConvexityReport",
-    "all_cycles",
     "enumerate_cycles",
     "decompose",
     "membership",
@@ -38,15 +39,43 @@ __all__ = [
 DEFAULT_CYCLE_CAP = 10
 
 
-def all_cycles(n: int, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[HamiltonianCycle]:
-    """All (n-1)! directed Hamiltonian cycles anchored at vertex 0, in
-    lexicographic order of the remaining vertices."""
+def _refuse_beyond_cap(n: int, cap: int) -> None:
+    """Refuse a walk that may visit all (n-1)! cycles when n exceeds the cap."""
     if n > cap:
         raise CapExceededError(
             f"enumeration over (n-1)! cycles refused for n={n} (cap {cap}); raise the cap explicitly"
         )
-    for rest in itertools.permutations(range(1, n)):
-        yield HamiltonianCycle((0,) + rest)
+
+
+def _walk(
+    num: Sequence[Sequence[int]], allowed: Sequence[Sequence[bool]]
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Hamiltonian cycles through allowed edges, as (order, r, s).
+
+    A depth-first walk from vertex 0 that takes the unvisited vertices in
+    increasing order and extends a path only along ``allowed[i][j]``, so it
+    yields the cycles in the lexicographic order of the remaining vertices,
+    as ``itertools.permutations`` lists them.  r/s is the cycle product:
+    r and s multiply ``num[i][j]`` and ``num[j][i]`` over the edges, as
+    prefix products that every cycle through a path shares.
+    """
+    home = [row[0] for row in allowed]
+    back = [row[0] for row in num]
+    first = num[0]
+
+    def extend(order: tuple[int, ...], rest: tuple[int, ...], r: int, s: int):
+        u = order[-1]
+        out, row = num[u], allowed[u]
+        if len(rest) == 1:
+            v = rest[0]
+            if row[v] and home[v]:
+                yield (*order, v), r * out[v] * back[v], s * num[v][u] * first[v]
+            return
+        for k, v in enumerate(rest):
+            if row[v]:
+                yield from extend((*order, v), rest[:k] + rest[k + 1 :], r * out[v], s * num[v][u])
+
+    return extend((0,), tuple(range(1, len(num))), 1, 1)
 
 
 def enumerate_cycles(
@@ -54,20 +83,21 @@ def enumerate_cycles(
 ) -> tuple[tuple[HamiltonianCycle, ...], tuple[HamiltonianCycle, ...]]:
     """Split all cycles by entry product: (product < 1, product == 1).
 
-    The two tuples are disjoint and each keeps enumeration order.  Cycles at
-    product exactly 1 come with their reversals, which also sit at 1; cycles
-    above 1 are the reversals of the sub-unit ones and are dropped.  Each
-    product is compared with 1 as its integer numerator against its
-    denominator.
+    The two tuples are disjoint and each keeps the walker's lexicographic
+    order.  Cycles at product exactly 1 come with their reversals, which
+    also sit at 1; cycles above 1 are the reversals of the sub-unit ones and
+    are dropped.  Each product is compared with 1 as its integer numerator
+    against its denominator.
     """
+    _refuse_beyond_cap(a.n, cap)
     below_one: list[HamiltonianCycle] = []
     unit: list[HamiltonianCycle] = []
-    for cycle in all_cycles(a.n, cap):
-        R, S = _chain(a, cycle)
-        if R[-1] < S[-1]:
-            below_one.append(cycle)
-        elif R[-1] == S[-1]:
-            unit.append(cycle)
+    complete = [(True,) * a.n] * a.n
+    for order, r, s in _walk(a._numerators, complete):
+        if r < s:
+            below_one.append(HamiltonianCycle(order))
+        elif r == s:
+            unit.append(HamiltonianCycle(order))
     return tuple(below_one), tuple(unit)
 
 
@@ -100,18 +130,23 @@ def decompose(a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP) -> Decompositio
 def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | None:
     """First cone (in enumeration order) containing w, or None.
 
-    None means w is not efficient for the decomposed matrix.  For a
-    consistent matrix, members of the single ray report the rotation cycle
-    0 -> 1 -> ... -> n-1 -> 0: the dominance digraph contains it exactly
-    when w lies on the ray.
+    None means w is not efficient for the decomposed matrix.  The cone of a
+    cycle contains w exactly when the dominance digraph g(w) contains the
+    cycle, so the answer is the first cycle of g(w) with product below 1;
+    ``d.cones`` is not read.  Without strong connectivity g(w) has no
+    Hamiltonian cycle at all.  For a consistent matrix, members of the
+    single ray report the rotation cycle 0 -> 1 -> ... -> n-1 -> 0: the
+    dominance digraph contains it exactly when w lies on the ray.
     """
     g = build_digraph(d.matrix, w)
     if d.ray is not None:
         cycle = HamiltonianCycle(tuple(range(d.matrix.n)))
         return cycle if all(g.has_edge(i, j) for i, j in cycle.edges()) else None
-    return next(
-        (c.cycle for c in d.cones if all(g.has_edge(i, j) for i, j, _ in c.inequalities)), None
-    )
+    if not strongly_connected(g)[0]:
+        return None
+    found = (order for order, r, s in _walk(d.matrix._numerators, g.adjacency) if r < s)
+    order = next(found, None)
+    return None if order is None else HamiltonianCycle(order)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ def generate(kind: str, n: int, seed: int = 0) -> ReciprocalMatrix:
 
     Kinds: consistent, simple (one disturbed comparison), double (two
     disturbed comparisons against one index), column (a whole column
-    disturbed), random (independent entries).  Perturbed kinds need n >= 3.
+    disturbed), random (independent entries).  Perturbed kinds need n >= 3,
+    and column needs n <= 55, one distinct off-unit palette value per row.
     Distinct factors are drawn so the class is as large as the dimension
     allows, but rescaling absorbs one factor per column: a fully disturbed
     column classifies as column only for n >= 5 (double at n = 4), and any
@@ -44,6 +45,9 @@ def generate(kind: str, n: int, seed: int = 0) -> ReciprocalMatrix:
         raise ValueError("dimension must be at least 2")
     if kind in ("simple", "double", "column") and n < 3:
         raise ValueError(f"kind {kind!r} needs n >= 3")
+    if kind == "column" and n > len(_OFF_UNIT) + 1:
+        # Each disturbed entry takes a distinct off-unit palette value.
+        raise ValueError(f"kind 'column' needs n <= {len(_OFF_UNIT) + 1}")
     rng = random.Random(seed)
 
     if kind == "random":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .decomposition import DEFAULT_CYCLE_CAP, all_cycles
+from .decomposition import DEFAULT_CYCLE_CAP, _refuse_beyond_cap, _walk
 from .digraph import EfficiencyCertificate, HamiltonianCycle, build_digraph, is_efficient
 from .errors import CapExceededError, ConvergenceError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize
@@ -279,13 +279,13 @@ def columns_common_cone(
 
     When found, the whole conic hull of the columns is efficient, so any
     weighted geometric or arithmetic column blend is safe.  The first
-    qualifying cycle in enumeration order is returned.  A cycle whose edges
-    a positive vector satisfies has product at most 1, so no product test
-    is needed.
+    qualifying cycle in enumeration order is returned: the first cycle of
+    the walk through the edges every column digraph shares.  A cycle whose
+    edges a positive vector satisfies has product at most 1, so no product
+    test is needed.
     """
-    graphs = [build_digraph(a, a.column(j)) for j in range(a.n)]
-    for cycle in all_cycles(a.n, cap):
-        edges = cycle.edges()
-        if all(g.has_edge(i, j) for g in graphs for i, j in edges):
-            return cycle
-    return None
+    _refuse_beyond_cap(a.n, cap)
+    graphs = [build_digraph(a, a.column(j)).adjacency for j in range(a.n)]
+    shared = [tuple(map(all, zip(*rows))) for rows in zip(*graphs)]
+    first = next(_walk(a._numerators, shared), None)
+    return None if first is None else HamiltonianCycle(first[0])

@@ -103,10 +103,14 @@ def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[V
         raise ValueError("cycle product exceeds 1; the cone is empty")
     # The first largest entry r_t/s_t along the cycle, by cross products.
     num, order = a._numerators, cycle.order
-    edges = [(num[i][j], num[j][i]) for i, j in zip(order, order[1:] + order[:1])]
+    after = order[1:] + order[:1]
+    edges = [(num[i][j], num[j][i]) for i, j in zip(order, after)]
     wrap = 0
     for t, (r, s) in enumerate(edges):
         if r * edges[wrap][1] > edges[wrap][0] * s:
             wrap = t
-    vec = _ray(order, R, S, wrap)
-    return vec, _along(num, vec, cycle)
+    p, q = _ray(order, R, S, wrap)
+    # An edge solved as an equality never reverses, so only the slack edge
+    # can; the test compares cross products and ignores the scale of p/q.
+    along = _classify(num, p, q, order[wrap], after[wrap]) is not None
+    return tuple(map(Fraction, p, q)), int(along)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from effvec import (
     HamiltonianCycle,
     ReciprocalMatrix,
     Vec,
+    build_digraph,
     is_efficient,
     normalize,
     proportional,
@@ -128,6 +130,65 @@ def cone_extremes_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tup
         if ray not in rays:
             rays.append(ray)
     return tuple(rays)
+
+
+# --- references for the cycle walker ----------------------------------------
+
+
+def cycles_reference(
+    a: ReciprocalMatrix,
+) -> tuple[tuple[HamiltonianCycle, ...], tuple[HamiltonianCycle, ...]]:
+    """(product < 1, product == 1) over every cycle that
+    ``itertools.permutations`` lists, each product a Fraction: the split
+    ``enumerate_cycles`` made before its walker."""
+    below, unit = [], []
+    for rest in itertools.permutations(range(1, a.n)):
+        cycle = HamiltonianCycle((0,) + rest)
+        product = cycle_product_reference(a, cycle)
+        if product < 1:
+            below.append(cycle)
+        elif product == 1:
+            unit.append(cycle)
+    return tuple(below), tuple(unit)
+
+
+def membership_reference(d: Decomposition, w: Vec) -> HamiltonianCycle | None:
+    """The first cone of ``d.cones`` whose every edge the dominance digraph
+    of w carries: the cone scan ``membership`` made before its walker."""
+    g = build_digraph(d.matrix, w)
+    if d.ray is not None:
+        cycle = HamiltonianCycle(tuple(range(d.matrix.n)))
+        return cycle if all(g.has_edge(i, j) for i, j in cycle.edges()) else None
+    return next(
+        (c.cycle for c in d.cones if all(g.has_edge(i, j) for i, j, _ in c.inequalities)), None
+    )
+
+
+def common_cone_reference(a: ReciprocalMatrix) -> HamiltonianCycle | None:
+    """The first permutation cycle that every column digraph carries: the
+    full scan ``columns_common_cone`` made before its walker."""
+    graphs = [build_digraph(a, a.column(j)) for j in range(a.n)]
+    for rest in itertools.permutations(range(1, a.n)):
+        cycle = HamiltonianCycle((0,) + rest)
+        if all(g.has_edge(i, j) for g in graphs for i, j in cycle.edges()):
+            return cycle
+    return None
+
+
+def walk_reference(
+    num: list[list[int]], allowed: list[list[bool]]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every permutation cycle through allowed edges, as (order, r, s) with
+    r and s the products of ``num[i][j]`` and ``num[j][i]`` over its edges."""
+    found = []
+    for rest in itertools.permutations(range(1, len(num))):
+        order = (0,) + rest
+        edges = list(zip(order, order[1:] + order[:1]))
+        if all(allowed[i][j] for i, j in edges):
+            r = math.prod(num[i][j] for i, j in edges)
+            s = math.prod(num[j][i] for i, j in edges)
+            found.append((order, r, s))
+    return found
 
 
 def _classify_reference(a_ij: Fraction, wi: Fraction, wj: Fraction) -> str | None:

@@ -88,6 +88,19 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "unit-product cycles: 4" in out and "extremes per cone: 4" in out
 
+    def test_summary_builds_no_cone(self, files, capsys, monkeypatch):
+        import effvec.decomposition
+
+        def refuse(*args):
+            raise AssertionError("a summary needs no cone")
+
+        monkeypatch.setattr(effvec.decomposition, "efficiency_cone", refuse)
+        assert main(["decompose", files["double"], "--summary"]) == 0
+        assert "extremes per cone: 4 4 4\n" in capsys.readouterr().out
+        assert main(["decompose", files["double"], "--summary", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"cones": 3, "unit_cycles": 0, "extremes_per_cone": [4, 4, 4]}
+
     def test_json_round_trips(self, files, capsys):
         assert main(["decompose", files["circulant"], "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -248,6 +261,24 @@ class TestRank:
         assert captured.out == ""
         assert "error: weighted geometric mean refused" in captured.err
 
+    def test_cap_refused_before_any_candidate(self, files, capsys, monkeypatch):
+        import effvec.cli
+        from effvec import generate
+
+        def refuse(*args):
+            raise RuntimeError("a candidate was computed")
+
+        monkeypatch.setattr(effvec.cli, "column_vector", refuse)
+        big = files["tmp"] / "big.txt"
+        big.write_text(format_matrix(generate("random", 11, seed=0)) + "\n")
+        for extra in ([], ["--weights", ",".join(["1"] * 11)]):
+            assert main(["rank", str(big), *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: enumeration over (n-1)! cycles refused for n=11 (cap 10)" in captured.err
+        # The weight count is still checked first.
+        assert main(["rank", str(big), "--weights", "1,1"]) == 2
+
     def test_tolerance_below_float_range(self, files, capsys):
         # Power iteration cannot meet a tolerance at or below float epsilon,
         # so it is refused before any iteration runs.
@@ -278,6 +309,12 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "weird", "4"])
         assert exc.value.code == 2
+
+    def test_column_kind_limit(self, capsys):
+        assert main(["generate", "column", "56"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kind 'column' needs n <= 55\n"
 
     def test_bad_dimension(self, capsys):
         assert main(["generate", "simple", "2"]) == 2

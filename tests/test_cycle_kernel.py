@@ -7,6 +7,7 @@ of every generator kind up to n = 6 and on pairwise-coprime entries with
 large numerators.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effvec import (
+    HamiltonianCycle,
     ReciprocalMatrix,
-    all_cycles,
     count_reversals,
     cycle_product,
     efficiency_cone,
@@ -41,7 +42,8 @@ def check_every_cycle(a: ReciprocalMatrix) -> dict[str, int]:
     """
     seen = {"below": 0, "unit": 0, "above": 0}
     below, unit = [], []
-    for cycle in all_cycles(a.n):
+    for rest in itertools.permutations(range(1, a.n)):
+        cycle = HamiltonianCycle((0,) + rest)
         product = cycle_product_reference(a, cycle)
         assert cycle_product(a, cycle) == product
         if product > 1:

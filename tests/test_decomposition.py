@@ -1,5 +1,6 @@
 """Cone decomposition of the efficient set and convexity reports."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 from effvec import (
     CapExceededError,
     HamiltonianCycle,
-    all_cycles,
     consistent_matrix,
     convexity_report,
     cycle_product,
@@ -21,23 +21,33 @@ from effvec import (
     proportional,
     random_weight_vector,
 )
+from effvec.decomposition import _walk
 from helpers import convexity_witness_reference, fractions
 
 
 class TestAllCycles:
+    """The walk over every edge, as ``enumerate_cycles`` runs it."""
+
+    @staticmethod
+    def walk_all(n):
+        return [order for order, _, _ in _walk([[1] * n] * n, [[True] * n] * n)]
+
     def test_count_is_factorial_of_n_minus_one(self):
-        assert len(list(all_cycles(4))) == 6
-        assert len(list(all_cycles(5))) == 24
+        assert len(self.walk_all(4)) == 6
+        assert len(self.walk_all(5)) == 24
 
     def test_every_cycle_anchored_distinct(self):
-        cycles = list(all_cycles(5))
-        assert len(set(cycles)) == len(cycles)
-        assert all(c.order[0] == 0 for c in cycles)
+        orders = self.walk_all(5)
+        assert len(set(orders)) == len(orders)
+        assert all(order[0] == 0 for order in orders)
+        assert all(HamiltonianCycle(order).order == order for order in orders)
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            list(all_cycles(11, cap=10))
-        assert len(list(all_cycles(8, cap=8))) == 5040
+            enumerate_cycles(generate("random", 11, seed=0), cap=10)
+        assert len(self.walk_all(8)) == 5040
+        below, unit = enumerate_cycles(generate("random", 8, seed=0), cap=8)
+        assert len(below) + len(unit) <= 5040
 
 
 class TestEnumerateCycles:
@@ -57,8 +67,9 @@ class TestEnumerateCycles:
     def test_split_by_product_in_enumeration_order(self, circulant4, double4):
         for a in (circulant4, double4, generate("random", 5, seed=3)):
             below, unit = enumerate_cycles(a)
-            assert [c for c in all_cycles(a.n) if cycle_product(a, c) < 1] == list(below)
-            assert [c for c in all_cycles(a.n) if cycle_product(a, c) == 1] == list(unit)
+            cycles = [HamiltonianCycle((0,) + rest) for rest in itertools.permutations(range(1, a.n))]
+            assert [c for c in cycles if cycle_product(a, c) < 1] == list(below)
+            assert [c for c in cycles if cycle_product(a, c) == 1] == list(unit)
 
     def test_below_cap_bound(self):
         # Half of all cycles at most, equality exactly when no unit products.

@@ -39,3 +39,10 @@ class TestGenerate:
             generate("random", 1)
         with pytest.raises(ValueError):
             generate("simple", 2)
+
+    def test_column_kind_limit(self):
+        # One distinct off-unit palette value per disturbed entry: 54 of them.
+        assert generate("column", 55, seed=0).n == 55
+        for n in (56, 150):
+            with pytest.raises(ValueError, match=r"kind 'column' needs n <= 55"):
+                generate("column", n)
