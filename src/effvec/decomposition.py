@@ -59,9 +59,10 @@ def _walk(
     r and s multiply ``num[i][j]`` and ``num[j][i]`` over the edges, as
     prefix products that every cycle through a path shares.
     """
+    # The closing edge v -> 0: whether it is allowed, and its r and s factors.
     home = [row[0] for row in allowed]
-    back = [row[0] for row in num]
-    first = num[0]
+    home_r = [row[0] for row in num]
+    home_s = num[0]
 
     def extend(order: tuple[int, ...], rest: tuple[int, ...], r: int, s: int):
         u = order[-1]
@@ -69,7 +70,7 @@ def _walk(
         if len(rest) == 1:
             v = rest[0]
             if row[v] and home[v]:
-                yield (*order, v), r * out[v] * back[v], s * num[v][u] * first[v]
+                yield (*order, v), r * out[v] * home_r[v], s * num[v][u] * home_s[v]
             return
         for k, v in enumerate(rest):
             if row[v]:
