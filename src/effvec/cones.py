@@ -13,7 +13,7 @@ comparison with 1, and the extreme rays.  ``efficiency_cone`` assembles
 them; below product 1, entry k of its ``extremes`` is the ray that leaves
 edge k slack.  That ray is the same chain of prefix products scaled by the
 cycle product beyond position k, so the n rays are rotations of one chain
-and share 2n Fractions; no Fraction arithmetic decides anything.
+and share 2n - 1 Fractions; no Fraction arithmetic decides anything.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _extremes(order: Sequence[int], R: list[int], S: list[int]) -> tuple[Vec, ..
     Position j of the ray omitting the last edge holds 1/P_j, and of the
     ray omitting edge 0, Pi/P_j.  The ray omitting edge k agrees with the
     first at positions j <= k and with the second beyond, so the n rays
-    share 2n Fractions.  They are pairwise distinct exactly when the cycle
+    share 2n - 1 Fractions.  They are pairwise distinct exactly when the cycle
     product differs from 1; at product 1 they all coincide.
     """
     n = len(order)
@@ -97,8 +97,9 @@ def _extremes(order: Sequence[int], R: list[int], S: list[int]) -> tuple[Vec, ..
         for v, x in zip(order, inverse):
             w[v] = x
         return (tuple(w),)
-    for v, x, y in zip(order, S, R):
-        w[v] = Fraction(r * x, s * y)
+    # Position 0 is set from ``inverse`` before the first ray is taken.
+    for j in range(1, n):
+        w[order[j]] = Fraction(r * S[j], s * R[j])
     rays = []
     for v, x in zip(order, inverse):
         w[v] = x

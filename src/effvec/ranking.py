@@ -286,6 +286,7 @@ def columns_common_cone(
     """
     _refuse_beyond_cap(a.n, cap)
     graphs = [build_digraph(a, a.column(j)).adjacency for j in range(a.n)]
+    # Row i of the shared digraph: the edges i -> j that every column's has.
     shared = [tuple(map(all, zip(*rows))) for rows in zip(*graphs)]
     first = next(_walk(a._numerators, shared), None)
     return None if first is None else HamiltonianCycle(first[0])
