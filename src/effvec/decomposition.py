@@ -94,11 +94,12 @@ def enumerate_cycles(
     below_one: list[HamiltonianCycle] = []
     unit: list[HamiltonianCycle] = []
     complete = [(True,) * a.n] * a.n
+    cycle = HamiltonianCycle._unchecked
     for order, r, s in _walk(a._numerators, complete):
         if r < s:
-            below_one.append(HamiltonianCycle(order))
+            below_one.append(cycle(order))
         elif r == s:
-            unit.append(HamiltonianCycle(order))
+            unit.append(cycle(order))
     return tuple(below_one), tuple(unit)
 
 
@@ -147,7 +148,7 @@ def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | No
         return None
     found = (order for order, r, s in _walk(d.matrix._numerators, g.adjacency) if r < s)
     order = next(found, None)
-    return None if order is None else HamiltonianCycle(order)
+    return None if order is None else HamiltonianCycle._unchecked(order)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,14 @@ class HamiltonianCycle:
             raise ValueError("canonical cycles start at vertex 0; use from_vertices")
 
     @classmethod
+    def _unchecked(cls, order: tuple[int, ...]) -> "HamiltonianCycle":
+        """A cycle from an order already known to be a permutation starting
+        at 0, such as the cycle walker yields; skips the checks."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "order", order)
+        return cycle
+
+    @classmethod
     def from_vertices(cls, vertices: Sequence[int]) -> "HamiltonianCycle":
         """Build from any rotation of the vertex sequence."""
         vertices = list(vertices)

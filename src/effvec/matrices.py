@@ -36,7 +36,7 @@ def as_weight_vector(values: Iterable[int | float | str | Fraction]) -> Vec:
     vec = tuple(rationalize(v) for v in values)
     if len(vec) < 2:
         raise ValueError("weight vectors need at least two components")
-    if any(v <= 0 for v in vec):
+    if any(v.numerator <= 0 for v in vec):
         raise ValueError("weight vector components must be positive")
     return vec
 

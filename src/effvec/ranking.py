@@ -7,6 +7,13 @@ are correctly rounded ``math.fsum`` sums, so they are the same on every
 platform.  They are rationalized exactly and can certify either way.  Every
 candidate carries the exact certificate computed for the vector actually
 returned.
+
+The exact side work runs on the integer numerator table of the matrix: each
+row of A, and of the gram A A^T, is a row of integers over one denominator.
+Column candidates and geometric radicands are single integer quotients, the
+spectral residual is one integer dot product per row, and the float matrix
+of the power iteration comes from correctly rounded integer divisions, so
+it equals the rounding of every exact entry.
 """
 
 from __future__ import annotations
@@ -61,7 +68,9 @@ def column_vector(a: ReciprocalMatrix, k: int) -> RankingCandidate:
 
     The method label uses the 1-based index, matching report conventions.
     """
-    vec = normalize(a.column(k))
+    num = a._numerators
+    # a_ik / a_0k on the table: a_ik = num[i][k] / num[k][i].
+    vec = tuple(Fraction(num[i][k] * num[k][0], num[k][i] * num[0][k]) for i in range(a.n))
     return RankingCandidate(
         method=f"column-{k + 1}",
         vector=vec,
@@ -82,10 +91,6 @@ def _decimal_places(tolerance: Fraction) -> int:
     return d
 
 
-def _bit_length(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
 def _approx_root(value: Fraction, q: int, digits: int) -> Fraction:
     """The q-th root of value floored to ``digits`` decimals, with the
     digits doubled until the floor is positive, so tiny roots stay weights."""
@@ -95,6 +100,17 @@ def _approx_root(value: Fraction, q: int, digits: int) -> Fraction:
         if root:
             return Fraction(root, 10**digits)
         digits *= 2
+
+
+def _radicand(num: Sequence[Sequence[int]], powers: Sequence[int], i: int) -> Fraction:
+    """prod_k (a_ik / a_0k)^powers[k] from the numerator table: one integer
+    numerator and one denominator, reduced once."""
+    top = bottom = 1
+    for k, m in enumerate(powers):
+        if m:
+            top *= (num[i][k] * num[k][0]) ** m
+            bottom *= (num[k][i] * num[0][k]) ** m
+    return Fraction(top, bottom)
 
 
 def weighted_geometric(
@@ -129,10 +145,12 @@ def weighted_geometric(
     # sum_k n_k * (bit lengths of a_ik and a_0k) bits together, and the
     # decimal scale adds q * digits * log2(10) < q * digits * 3.3220 bits.
     # Integers only: q may be far beyond the float range.
-    top = a.entries[0]
+    num = a._numerators
+    bits = [[x.bit_length() for x in row] for row in num]
+    # Entry (i, k) of a reciprocal matrix has bit length bits[i][k] + bits[k][i].
     entry_bits = max(
-        sum(m * (_bit_length(row[k]) + _bit_length(top[k])) for k, m in enumerate(numerators))
-        for row in a.entries
+        sum(m * (bits[i][k] + bits[k][i] + bits[0][k] + bits[k][0]) for k, m in enumerate(numerators))
+        for i in range(n)
     )
     if entry_bits + q * digits * 33220 // 10000 > MAX_RADICAND_BITS:
         raise CapExceededError(
@@ -143,10 +161,7 @@ def weighted_geometric(
     components: list[Fraction] = []
     exact = True
     for i in range(n):
-        radicand = Fraction(1)
-        for k in range(n):
-            if numerators[k]:
-                radicand *= (a.entries[i][k] / a.entries[0][k]) ** numerators[k]
+        radicand = _radicand(num, numerators, i)
         root = nth_root_exact(radicand, q)
         if root is None:
             exact = False
@@ -190,9 +205,57 @@ def _power_iteration(rows: list[list[float]], tolerance: Fraction) -> list[float
     raise ConvergenceError(MAX_ITERATIONS, delta)
 
 
+def _integer_rows(a: ReciprocalMatrix) -> tuple[list[list[int]], list[int]]:
+    """Row i of A as integers N_i over one denominator L_i.
+
+    L_i is the lcm of the row's denominators, which are the numerators
+    ``num[k][i]`` of its transpose, so a_ik = N_ik / L_i.
+    """
+    n = a.n
+    num = a._numerators
+    lcms = [math.lcm(*(num[k][i] for k in range(n))) for i in range(n)]
+    rows = [[num[i][k] * (lcms[i] // num[k][i]) for k in range(n)] for i in range(n)]
+    return rows, lcms
+
+
+# A spectral matrix on integers: (K, R, S) stands for the matrix with entry
+# (i, j) equal to K_ij / (R_i S_j).
+_IntegerMatrix = tuple[list[list[int]], list[int], list[int]]
+
+
+def _gram(a: ReciprocalMatrix) -> _IntegerMatrix:
+    """A A^T, whose entry (i, j) is N_i . N_j / (L_i L_j); the integer dot
+    products form a symmetric table, so each is computed once."""
+    rows, lcms = _integer_rows(a)
+    n = a.n
+    gram = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(map(operator.mul, row, rows[j]))
+    return gram, lcms, lcms
+
+
+def _residual(m: _IntegerMatrix, vec: Vec) -> Fraction:
+    """The exact spectral defect max|M v - lambda v| / max|v|, with lambda
+    the largest ratio (M v)_i / v_i.
+
+    The defect does not change when v is scaled, so v is scaled to integers
+    c_j and divided by each column denominator S_j over their lcm P: then
+    (M v)_i / v_i = s_i / (R_i P c_i), with s_i one integer dot product.
+    """
+    rows, row_den, col_den = m
+    d = math.lcm(*(v.denominator for v in vec))
+    p = math.lcm(*col_den)
+    c = [v.numerator * (d // v.denominator) for v in vec]
+    scaled = [cj * (p // sj) for cj, sj in zip(c, col_den)]
+    image = [sum(map(operator.mul, row, scaled)) for row in rows]
+    lam = max(Fraction(si, r * p * ci) for si, r, ci in zip(image, row_den, c))
+    return max(abs(Fraction(si, r * p) - lam * ci) for si, r, ci in zip(image, row_den, c)) / max(c)
+
+
 def _spectral_candidate(
     a: ReciprocalMatrix,
-    exact_rows: list[list[Fraction]],
+    exact: _IntegerMatrix,
     method: str,
     tolerance: Fraction,
 ) -> RankingCandidate:
@@ -212,24 +275,22 @@ def _spectral_candidate(
             exact=True,
             residual=Fraction(0),
         )
+    rows, row_den, col_den = exact
     try:
-        matrix = [[float(v) for v in row] for row in exact_rows]
+        # Integer true division is correctly rounded, as float(Fraction) is.
+        floats = [[k / (r * s) for k, s in zip(row, col_den)] for row, r in zip(rows, row_den)]
     except OverflowError:
         raise ValueError(
             f"{method} power iteration needs entries within the float range (about 1.8e308)"
         ) from None
-    approx = _power_iteration(matrix, tolerance)
+    approx = _power_iteration(floats, tolerance)
     vec = normalize(tuple(Fraction(value) for value in approx))
-    n = len(vec)
-    image = [sum(exact_rows[i][j] * vec[j] for j in range(n)) for i in range(n)]
-    lam = max(image[i] / vec[i] for i in range(n))
-    residual = max(abs(image[i] - lam * vec[i]) for i in range(n)) / max(vec)
     return RankingCandidate(
         method=method,
         vector=vec,
         certificate=is_efficient(a, vec),
         exact=False,
-        residual=residual,
+        residual=_residual(exact, vec),
     )
 
 
@@ -243,25 +304,8 @@ def perron_vector(
     between successive iterates must drop below ``tolerance``.  The residual
     is evaluated exactly against the rational matrix.
     """
-    rows = [list(row) for row in a.entries]
-    return _spectral_candidate(a, rows, "perron", tolerance)
-
-
-def _gram(a: ReciprocalMatrix) -> list[list[Fraction]]:
-    """A A^T, built on integers.
-
-    Row i of A is N_i / L_i, with L_i the lcm of the row's denominators (the
-    numerators ``num[k][i]`` of its transpose), so entry (i, j) is
-    sum_k N_ik N_jk / (L_i L_j).
-    """
-    n = a.n
-    num = a._numerators
-    lcms = [math.lcm(*(num[k][i] for k in range(n))) for i in range(n)]
-    scaled = [[num[i][k] * (lcms[i] // num[k][i]) for k in range(n)] for i in range(n)]
-    return [
-        [Fraction(sum(map(operator.mul, scaled[i], scaled[j])), lcms[i] * lcms[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    rows, lcms = _integer_rows(a)
+    return _spectral_candidate(a, (rows, lcms, [1] * a.n), "perron", tolerance)
 
 
 def singular_vector(
@@ -289,4 +333,4 @@ def columns_common_cone(
     # Row i of the shared digraph: the edges i -> j that every column's has.
     shared = [tuple(map(all, zip(*rows))) for rows in zip(*graphs)]
     first = next(_walk(a._numerators, shared), None)
-    return None if first is None else HamiltonianCycle(first[0])
+    return None if first is None else HamiltonianCycle._unchecked(first[0])

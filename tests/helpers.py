@@ -342,6 +342,26 @@ def gram_reference(a: ReciprocalMatrix) -> list[list[Fraction]]:
     return [[sum(e[i][k] * e[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+def spectral_residual_reference(rows: list[list[Fraction]], vec: Vec) -> Fraction:
+    """max|M v - lambda v| / max v from n**2 Fraction products: the residual
+    ``perron_vector`` and ``singular_vector`` computed before the integer
+    rows."""
+    n = len(vec)
+    image = [sum(rows[i][j] * vec[j] for j in range(n)) for i in range(n)]
+    lam = max(image[i] / vec[i] for i in range(n))
+    return max(abs(image[i] - lam * vec[i]) for i in range(n)) / max(vec)
+
+
+def radicand_reference(a: ReciprocalMatrix, powers: list[int], i: int) -> Fraction:
+    """prod_k (a_ik / a_0k)^powers[k] as a running Fraction product: the
+    radicand ``weighted_geometric`` built before the numerator table."""
+    radicand = Fraction(1)
+    for k, m in enumerate(powers):
+        if m:
+            radicand *= (a.entries[i][k] / a.entries[0][k]) ** m
+    return radicand
+
+
 def nth_root_floor_reference(x: int, n: int) -> int:
     """floor(x ** (1/n)) by Newton iteration from 2**ceil(bits/n): the start
     ``nth_root_floor`` used before its float-seeded one."""

@@ -1,0 +1,81 @@
+"""The summary of scripts/bench_pairs.py, on synthetic runs (no subprocess)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _run(seed, side, ops, latency, failed=0):
+    return {
+        "workload": "rank",
+        "seed": seed,
+        "side": side,
+        "result": {
+            "correct": True,
+            "attempted": 100,
+            "failed": failed,
+            "metrics": {
+                "ops_per_s": {"value": ops, "unit": "1/s"},
+                "latency_p50_ms": {"value": latency, "unit": "ms"},
+            },
+        },
+    }
+
+
+def _synthetic():
+    # Parent ops 10..19, change twice as fast except on seed 3; latency mirrors.
+    runs = []
+    for seed in range(10):
+        parent = 10.0 + seed
+        change = 2 * parent if seed != 3 else parent - 1
+        runs.append(_run(seed, "parent", parent, 1000 / parent, failed=1 if seed == 0 else 0))
+        runs.append(_run(seed, "change", change, 1000 / change))
+    return runs
+
+
+def test_medians_quartiles_and_ratio():
+    summary = bench_pairs.summarize(_synthetic(), METRICS)["rank"]
+    ops = summary["ops_per_s"]
+    assert ops["parent_median"] == 14.5
+    # statistics.quantiles (exclusive) of 10..19: ranks 2.75 and 8.25 of 10.
+    assert ops["parent_quartiles"] == [11.75, 17.25]
+    change = sorted(2 * (10.0 + s) if s != 3 else 12.0 for s in range(10))
+    assert ops["change_median"] == (change[4] + change[5]) / 2
+    assert ops["ratio"] == round(ops["change_median"] / 14.5, 3)
+    assert ops["bound"] == 0.25
+    assert ops["pairs"] == 10
+
+
+def test_pairs_won_follow_direction():
+    summary = bench_pairs.summarize(_synthetic(), METRICS)["rank"]
+    assert summary["ops_per_s"]["change_better_pairs"] == 9
+    assert summary["latency_p50_ms"]["change_better_pairs"] == 9
+
+
+def test_failures_and_correct_runs():
+    runs = _synthetic()
+    runs.append({"workload": "rank", "seed": 10, "side": "change", "result": {"correct": False, "error": "boom"}})
+    summary = bench_pairs.summarize(runs, METRICS)["rank"]
+    assert summary["failed"] == {"parent": 1, "change": 0}
+    assert summary["correct_runs"] == {"parent": 10, "change": 10}
+    # The crashed run has no partner and no metrics: the pair count stays 10.
+    assert summary["ops_per_s"]["pairs"] == 10
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_few_runs(count):
+    runs = [r for r in _synthetic() if r["seed"] < count]
+    ops = bench_pairs.summarize(runs, METRICS)["rank"]["ops_per_s"]
+    assert ops["pairs"] == count
+    assert len(ops["parent_quartiles"]) == 2

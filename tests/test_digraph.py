@@ -29,6 +29,19 @@ class TestHamiltonianCycle:
         with pytest.raises(ValueError):
             HamiltonianCycle.from_vertices((0, 0, 1))
 
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 3), (1, 0, 2), (0,)])
+    def test_public_constructor_checks(self, order):
+        # The walker's private constructor skips these checks; this one may not.
+        with pytest.raises(ValueError):
+            HamiltonianCycle(order)
+
+    def test_unchecked_equals_checked(self):
+        order = (0, 2, 3, 1)
+        fast = HamiltonianCycle._unchecked(order)
+        assert fast == HamiltonianCycle(order)
+        assert hash(fast) == hash(HamiltonianCycle(order))
+        assert fast.edges() == HamiltonianCycle(order).edges()
+
     def test_edges_close_the_loop(self):
         c = HamiltonianCycle.from_vertices((0, 3, 2, 1))
         assert c.edges() == ((0, 3), (3, 2), (2, 1), (1, 0))

@@ -1,6 +1,8 @@
 """Ranking candidates: columns, geometric means, spectral vectors."""
 
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -22,11 +24,18 @@ from effvec import (
     singular_vector,
     weighted_geometric,
 )
-from effvec.formats import format_vector
+from effvec.cli import main
+from effvec.formats import format_matrix, format_vector
 from effvec.generators import KINDS
 from effvec.rationals import format_rational
-from effvec.ranking import MAX_ITERATIONS, _gram
-from helpers import fractions, gram_reference, matrix_of
+from effvec.ranking import MAX_ITERATIONS, _gram, _integer_rows, _radicand, _residual
+from helpers import (
+    fractions,
+    gram_reference,
+    matrix_of,
+    radicand_reference,
+    spectral_residual_reference,
+)
 
 
 class TestColumnVector:
@@ -217,26 +226,82 @@ class TestSpectralGolden:
         ]
 
 
+def _coprime_matrix():
+    # 2**p - 1 for distinct primes p are pairwise coprime, so no lcm of
+    # the row denominators cancels.
+    mersenne = iter(2**p - 1 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71))
+    n = 5
+    rows = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = Fraction(next(mersenne), next(mersenne))
+            rows[j][i] = 1 / rows[i][j]
+    return matrix_of(rows)
+
+
+def _small_matrices():
+    for kind in KINDS:
+        for n in range(2 if kind in ("consistent", "random") else 3, 9):
+            for seed in range(3):
+                yield (kind, n, seed), generate(kind, n, seed=seed)
+    yield "coprime", _coprime_matrix()
+
+
+def _perron_rows(a):
+    rows, lcms = _integer_rows(a)
+    return rows, lcms, [1] * a.n
+
+
+def _as_fractions(m):
+    rows, row_den, col_den = m
+    return [[Fraction(k, r * s) for k, s in zip(row, col_den)] for row, r in zip(rows, row_den)]
+
+
 class TestIntegerGram:
     def test_matches_fraction_gram_every_kind(self):
         for kind in KINDS:
             for n in range(2 if kind in ("consistent", "random") else 3, 8):
                 for seed in range(3):
                     a = generate(kind, n, seed=seed)
-                    assert _gram(a) == gram_reference(a), (kind, n, seed)
+                    assert _as_fractions(_gram(a)) == gram_reference(a), (kind, n, seed)
 
     def test_matches_fraction_gram_on_coprime_entries(self):
-        # 2**p - 1 for distinct primes p are pairwise coprime, so no lcm of
-        # the row denominators cancels.
-        mersenne = iter(2**p - 1 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71))
-        n = 5
-        rows = [[Fraction(1)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = Fraction(next(mersenne), next(mersenne))
-                rows[j][i] = 1 / rows[i][j]
-        a = matrix_of(rows)
-        assert _gram(a) == gram_reference(a)
+        a = _coprime_matrix()
+        assert _as_fractions(_gram(a)) == gram_reference(a)
+
+
+class TestIntegerRows:
+    """The integer spectral matrices and the exact side work built on them,
+    against the Fraction computations they replaced."""
+
+    def test_perron_rows_match_entries(self):
+        for label, a in _small_matrices():
+            assert _as_fractions(_perron_rows(a)) == [list(row) for row in a.entries], label
+
+    def test_floats_bit_identical(self):
+        for label, a in _small_matrices():
+            for m, exact in ((_perron_rows(a), [list(row) for row in a.entries]), (_gram(a), gram_reference(a))):
+                rows, row_den, col_den = m
+                floats = [[k / (r * s) for k, s in zip(row, col_den)] for row, r in zip(rows, row_den)]
+                assert floats == [[float(x) for x in row] for row in exact], label
+
+    def test_residual_matches_reference(self):
+        for label, a in _small_matrices():
+            vectors = [perron_vector(a, Fraction(1, 1000)).vector]
+            vectors += [a.column(k) for k in range(a.n)]
+            vectors.append(tuple(Fraction(k + 2, 2 * k + 3) for k in range(a.n)))
+            for vec in vectors:
+                assert _residual(_perron_rows(a), vec) == spectral_residual_reference(
+                    [list(row) for row in a.entries], vec
+                ), label
+                assert _residual(_gram(a), vec) == spectral_residual_reference(gram_reference(a), vec), label
+
+    def test_radicand_matches_reference(self):
+        for label, a in _small_matrices():
+            n = a.n
+            for powers in ([1] * n, [k % 3 for k in range(n)], [0] * (n - 1) + [5]):
+                for i in range(n):
+                    assert _radicand(a._numerators, powers, i) == radicand_reference(a, powers, i), label
 
 
 # Outcomes at the parent of the pure-Python iteration, on the 3x3 matrix with
@@ -307,3 +372,33 @@ class TestColumnsCommonCone:
                     for i in range(a.n)
                 )
                 assert is_efficient(a, combo).efficient
+
+
+class TestRankGolden:
+    """``effvec rank --json`` on inconsistent matrices, pinned by one digest.
+
+    Every kind at n = 3..8 and seeds 0-2, each run with the defaults, with
+    equal ``--weights`` and with ``--tolerance 1/1000``: 270 runs, most of
+    them through the spectral path the CLI hash skips.  A result is the
+    exit code, stdout and stderr, with the temporary directory replaced by
+    a fixed token.
+    """
+
+    def test_digest(self, tmp_path):
+        digest = hashlib.sha256()
+        runs = 0
+        for kind in KINDS:
+            for n in range(3, 9):
+                for seed in range(3):
+                    path = tmp_path / f"{kind}-{n}-{seed}.txt"
+                    path.write_text(format_matrix(generate(kind, n, seed=seed)))
+                    equal = ",".join([f"1/{n}"] * n)
+                    for extra in ([], ["--weights", equal], ["--tolerance", "1/1000"]):
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            code = main(["rank", str(path), "--json", *extra])
+                        text = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+                        digest.update(text.replace(str(tmp_path), "<tmp>").encode())
+                        runs += 1
+        assert runs == 270
+        assert digest.hexdigest() == "d87eeb1eb7e8d82de0035b6b32b996a06689134c66a6b14a432db4ac944116e7"
