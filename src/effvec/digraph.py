@@ -89,10 +89,24 @@ class DominanceDigraph:
     The digraph must be semi-complete, with an edge in at least one
     direction between every two vertices, as every digraph from
     ``build_digraph`` is: ``strongly_connected`` and
-    ``find_hamiltonian_cycle`` rely on it.
+    ``find_hamiltonian_cycle`` rely on it.  The constructor raises
+    ``ValueError`` on a non-square or not semi-complete adjacency.
     """
 
     adjacency: tuple[tuple[bool, ...], ...]
+
+    def __post_init__(self) -> None:
+        adj, n = self.adjacency, len(self.adjacency)
+        square = all(len(row) == n for row in adj)
+        if not square or not all(adj[i][j] or adj[j][i] for j in range(n) for i in range(j)):
+            raise ValueError("adjacency must be square and semi-complete: an edge between every two vertices")
+
+    @classmethod
+    def _unchecked(cls, adjacency: tuple[tuple[bool, ...], ...]) -> "DominanceDigraph":
+        """Skips the checks, for a digraph known to be semi-complete."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "adjacency", adjacency)
+        return g
 
     @property
     def n(self) -> int:
@@ -139,14 +153,14 @@ def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigrap
             backward = r[j] * p[j] * qi
             row[j] = forward >= backward
             adj[j][i] = backward >= forward
-    return DominanceDigraph(tuple(map(tuple, adj)))
+    return DominanceDigraph._unchecked(tuple(map(tuple, adj)))
 
 
 def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Strong components of a semi-complete digraph, in topological order.
 
-    Precondition: g is semi-complete (every digraph from ``build_digraph``
-    is); on other digraphs the result is meaningless.  Then
+    g is semi-complete, as the ``DominanceDigraph`` constructor checks and
+    every digraph from ``build_digraph`` is.  Then
     ``out(v) - in(v) + n - 1`` is twice the score of v, counting a win as 1
     and a tie as 1/2.  A source set (no edge enters it) of size k holds
     exactly the k top scorers, and the top k are a source set exactly when
@@ -183,8 +197,6 @@ def _hamiltonian_path(g: DominanceDigraph) -> list[int]:
             if g.has_edge(u, path[t]):
                 path.insert(t, u)
                 break
-        else:  # pragma: no cover - impossible when g is semi-complete
-            raise ValueError("digraph is not semi-complete")
     return path
 
 

@@ -5,11 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, consistent_matrix
 
-__all__ = ["KINDS", "random_weight_vector", "generate"]
+__all__ = ["KINDS", "MAX_DIMENSION", "random_weight_vector", "generate"]
 
 KINDS = ("consistent", "simple", "double", "column", "random")
+
+MAX_DIMENSION = 1000  # n = 1000 takes a few seconds; the cost grows as n**2
 
 # Small-ratio palette in the style of verbal comparison scales.  Values are
 # deduplicated so sampling without replacement yields distinct ratios.
@@ -37,12 +40,15 @@ def generate(kind: str, n: int, seed: int = 0) -> ReciprocalMatrix:
     Distinct factors are drawn so the class is as large as the dimension
     allows, but rescaling absorbs one factor per column: a fully disturbed
     column classifies as column only for n >= 5 (double at n = 4), and any
-    disturbance of a 3-dimensional matrix classifies as simple.
+    disturbance of a 3-dimensional matrix classifies as simple.  A
+    dimension above ``MAX_DIMENSION`` is refused with ``CapExceededError``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     if n < 2:
         raise ValueError("dimension must be at least 2")
+    if n > MAX_DIMENSION:
+        raise CapExceededError(f"dimension {n} exceeds the limit of {MAX_DIMENSION}")
     if kind in ("simple", "double", "column") and n < 3:
         raise ValueError(f"kind {kind!r} needs n >= 3")
     if kind == "column" and n > len(_OFF_UNIT) + 1:

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .decomposition import DEFAULT_CYCLE_CAP, _refuse_beyond_cap, _walk
 from .digraph import EfficiencyCertificate, HamiltonianCycle, build_digraph, is_efficient
@@ -255,10 +255,11 @@ def _residual(m: _IntegerMatrix, vec: Vec) -> Fraction:
 
 def _spectral_candidate(
     a: ReciprocalMatrix,
-    exact: _IntegerMatrix,
+    build: Callable[[ReciprocalMatrix], _IntegerMatrix],
     method: str,
     tolerance: Fraction,
 ) -> RankingCandidate:
+    """Power iteration on ``build(a)``, which only an inconsistent matrix needs."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if tolerance <= Fraction(1, 2**52):
@@ -275,6 +276,7 @@ def _spectral_candidate(
             exact=True,
             residual=Fraction(0),
         )
+    exact = build(a)
     rows, row_den, col_den = exact
     try:
         # Integer true division is correctly rounded, as float(Fraction) is.
@@ -304,8 +306,7 @@ def perron_vector(
     between successive iterates must drop below ``tolerance``.  The residual
     is evaluated exactly against the rational matrix.
     """
-    rows, lcms = _integer_rows(a)
-    return _spectral_candidate(a, (rows, lcms, [1] * a.n), "perron", tolerance)
+    return _spectral_candidate(a, lambda a: (*_integer_rows(a), [1] * a.n), "perron", tolerance)
 
 
 def singular_vector(
@@ -313,7 +314,7 @@ def singular_vector(
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> RankingCandidate:
     """Rationalized left singular vector: power iteration on A A^T."""
-    return _spectral_candidate(a, _gram(a), "singular", tolerance)
+    return _spectral_candidate(a, _gram, "singular", tolerance)
 
 
 def columns_common_cone(

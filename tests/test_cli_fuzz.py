@@ -13,8 +13,10 @@ exits through ``SystemExit(2)``, as it does from the shell.  A second test
 runs only ``rank`` on the 10**k matrices, so that those paths are reached
 on every run of the suite.
 
-``generate N`` and ``self-check --trials T`` are left out: they do work of
-order N**2 and T because the user asks for that much.
+``generate N`` and ``self-check --trials T`` do work of order N**2 and T
+because the user asks for that much, so they are drawn only with values
+that are refused before any work: N outside 2..1000 (exit 2 below, 3
+above) and T below 1 (exit 2).
 """
 
 import contextlib
@@ -100,8 +102,12 @@ def weights(draw, n):
 
 @st.composite
 def argvs(draw, matrix, vector, n):
-    command = draw(st.sampled_from(["check", "decompose", "reversals", "perturbed", "rank"]))
-    if command == "check":
+    command = draw(st.sampled_from(["check", "decompose", "reversals", "perturbed", "rank", "generate", "self-check"]))
+    if command == "generate":
+        args = [command, draw(st.sampled_from(KINDS)), draw(st.sampled_from(["-3", "0", "1", "1001", "1000000000"]))]
+    elif command == "self-check":
+        args = [command, "--trials", draw(st.sampled_from(["0", "-5", "x"]))]
+    elif command == "check":
         args = [command, matrix, vector]
     elif command == "decompose":
         args = [command, matrix]
@@ -179,3 +185,17 @@ def test_rank_beyond_float_range(tmp_path_factory, data):
         assert "no convergence after" in err
     elif code == 2:
         assert "float range" in err
+
+
+def test_refusals_before_any_work():
+    for argv, expected in (
+        (["self-check", "--trials", "0"], 2),
+        (["self-check", "--trials", "-5", "--json"], 2),
+        (["generate", "random", "1001"], 3),
+        (["generate", "random", "1000000000", "--json"], 3),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (expected, ""), argv
+        assert err.getvalue().startswith("error: "), argv

@@ -6,6 +6,7 @@ import pytest
 
 import effvec.digraph
 from effvec import (
+    DominanceDigraph,
     HamiltonianCycle,
     build_digraph,
     exhaustive_hamiltonian,
@@ -45,6 +46,29 @@ class TestHamiltonianCycle:
     def test_edges_close_the_loop(self):
         c = HamiltonianCycle.from_vertices((0, 3, 2, 1))
         assert c.edges() == ((0, 3), (3, 2), (2, 1), (1, 0))
+
+
+class TestDominanceDigraph:
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            # Empty 3-vertex digraph: the score scan would read one component.
+            ((False,) * 3,) * 3,
+            ((True, False), (False, True)),
+            ((True, True), (True,)),
+            ((True, True, True), (True, True, True)),
+        ],
+    )
+    def test_public_constructor_refuses(self, adjacency):
+        with pytest.raises(ValueError):
+            DominanceDigraph(adjacency)
+
+    def test_built_digraphs_pass_the_check(self):
+        rng = random.Random(3)
+        for seed in range(10):
+            a = generate("random", rng.randint(2, 12), seed=seed)
+            g = build_digraph(a, random_weight_vector(rng, a.n))
+            assert DominanceDigraph(g.adjacency) == g
 
 
 class TestBuildDigraph:

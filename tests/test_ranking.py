@@ -28,6 +28,7 @@ from effvec.cli import main
 from effvec.formats import format_matrix, format_vector
 from effvec.generators import KINDS
 from effvec.rationals import format_rational
+import effvec.ranking
 from effvec.ranking import MAX_ITERATIONS, _gram, _integer_rows, _radicand, _residual
 from helpers import (
     fractions,
@@ -160,6 +161,25 @@ class TestSpectral:
             assert candidate.residual == 0
             assert proportional(candidate.vector, consistent3.column(0))
             assert candidate.certificate.efficient
+
+    def test_consistent_path_builds_no_spectral_matrix(self, monkeypatch):
+        # The shortcut never reads the gram or the integer rows, so a
+        # consistent matrix must not pay n**3 / 2 products for them.
+        def refuse(a):
+            raise AssertionError("spectral matrix built for a consistent matrix")
+
+        monkeypatch.setattr(effvec.ranking, "_gram", refuse)
+        monkeypatch.setattr(effvec.ranking, "_integer_rows", refuse)
+        a = generate("consistent", 30, seed=1)
+        for candidate in (perron_vector(a), singular_vector(a)):
+            assert candidate.exact and candidate.certificate.efficient
+
+    def test_inconsistent_path_decides_consistency_once(self, monkeypatch):
+        calls = []
+        original = effvec.ranking.is_consistent
+        monkeypatch.setattr(effvec.ranking, "is_consistent", lambda a: calls.append(a) or original(a))
+        singular_vector(generate("random", 5, seed=2))
+        assert len(calls) == 1
 
     def test_residual_reported_and_small(self):
         for seed in range(10):
@@ -375,16 +395,18 @@ class TestColumnsCommonCone:
 
 
 class TestRankGolden:
-    """``effvec rank --json`` on inconsistent matrices, pinned by one digest.
+    """``effvec rank`` on inconsistent matrices, pinned by one digest per format.
 
     Every kind at n = 3..8 and seeds 0-2, each run with the defaults, with
     equal ``--weights`` and with ``--tolerance 1/1000``: 270 runs, most of
-    them through the spectral path the CLI hash skips.  A result is the
-    exit code, stdout and stderr, with the temporary directory replaced by
-    a fixed token.
+    them through the spectral path the CLI hash skips.  The JSON digest
+    pins the report; the text digest pins its table (residuals, inefficient
+    rows, ``-`` cycles).  A result is the exit code, stdout and stderr, with
+    the temporary directory replaced by a fixed token.
     """
 
-    def test_digest(self, tmp_path):
+    @staticmethod
+    def _digest(tmp_path, flags):
         digest = hashlib.sha256()
         runs = 0
         for kind in KINDS:
@@ -396,9 +418,19 @@ class TestRankGolden:
                     for extra in ([], ["--weights", equal], ["--tolerance", "1/1000"]):
                         out, err = io.StringIO(), io.StringIO()
                         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = main(["rank", str(path), "--json", *extra])
+                            code = main(["rank", str(path), *flags, *extra])
                         text = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n"
                         digest.update(text.replace(str(tmp_path), "<tmp>").encode())
                         runs += 1
         assert runs == 270
-        assert digest.hexdigest() == "d87eeb1eb7e8d82de0035b6b32b996a06689134c66a6b14a432db4ac944116e7"
+        return digest.hexdigest()
+
+    def test_digest(self, tmp_path):
+        assert self._digest(tmp_path, ["--json"]) == (
+            "d87eeb1eb7e8d82de0035b6b32b996a06689134c66a6b14a432db4ac944116e7"
+        )
+
+    def test_text_digest(self, tmp_path):
+        assert self._digest(tmp_path, []) == (
+            "d6bbd1455915aa60d35370d8fee4948c1d2de7e1d5d654ba7dc7ab62768e9346"
+        )
