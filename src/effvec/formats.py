@@ -381,7 +381,6 @@ _TEXT = {
     "perturbed": _perturbed_text,
     "rank": _rank_text,
     "generate": lambda m: _matrix_lines(m) + [""],
-    "self-check": lambda r: r["checks"],
 }
 
 
@@ -390,8 +389,10 @@ def render(command: str, report: dict | str, as_json: bool) -> tuple[str, str]:
     negative result's stderr line; self-check reports in text also under --json."""
     if isinstance(report, str):
         return "", report + "\n"
-    if as_json and command != "self-check":
+    if command == "self-check":
+        failures = "".join(f"FAIL: {line}\n" for line in report["failures"])
+        return "\n".join(report["checks"]) + "\n", failures
+    if as_json:
         public = {k: v for k, v in report.items() if not k.startswith("_")}
         return json.dumps(public, indent=2) + "\n", ""
-    failures = "".join(f"FAIL: {line}\n" for line in report.get("failures", ()))
-    return "\n".join(_TEXT[command](report)) + "\n", failures
+    return "\n".join(_TEXT[command](report)) + "\n", ""

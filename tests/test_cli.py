@@ -326,6 +326,14 @@ class TestSelfCheck:
         out = capsys.readouterr().out
         assert "cycle oracle" in out and "dominance" in out and "decomposition: ok" in out
 
+    def test_failures_go_to_stderr_also_under_json(self, capsys, monkeypatch):
+        # An improve that never moves a vector fails every inefficient trial.
+        monkeypatch.setattr("effvec.cli.improve", lambda a, w: None)
+        assert main(["--json", "self-check", "--trials", "5", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].endswith("inefficient dominated, FAIL")
+        assert captured.err.startswith("FAIL: improved vector is not an efficient dominator on n=")
+
 
 class TestConfig:
     def test_bad_tolerance(self, files):
