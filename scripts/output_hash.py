@@ -100,8 +100,11 @@ def corpus():
                         f"{tag} perturbed {form.canonical.entries} {form.transform} "
                         f"{form.index} {form.candidates} {form.pairs}"
                     )
-                report = convexity_report(d, samples=200, seed=seed)
-                yield f"{tag} convexity {report.verdict} {report.reason} {report.witness}"
+                report = convexity_report(d)
+                yield (
+                    f"{tag} convexity {report.verdict} {report.reason} {report.witness} "
+                    f"{report.shared_edges}"
+                )
     for n in (3, 5, 10, 30, 60, 100, 150):
         for seed in range(3):
             a = generate("random", n, seed=seed)
@@ -138,7 +141,7 @@ def cli_corpus():
                     backward = ",".join(["1"] + [str(k) for k in range(n, 1, -1)])
                     runs = [["check", m, str(w)] for w in (ones, ramp)]
                     runs += [
-                        ["decompose", m, *opts, "--budget", "40", "--seed", str(seed)]
+                        ["decompose", m, *opts]
                         for opts in ([], ["--summary"], ["--convexity"], ["--summary", "--convexity"])
                     ]
                     runs += [
@@ -162,7 +165,6 @@ def cli_corpus():
             ["check", str(bad), m],
             ["decompose", m, "--cap", "4"],
             ["decompose", m, "--cap", "2"],
-            ["decompose", m, "--convexity", "--budget", "0"],
             ["rank", m, "--tolerance", "0"],
             ["rank", m, "--tolerance", "abc"],
             ["rank", m, "--weights", "1/2,1/2"],

@@ -6,7 +6,8 @@ or JSON formats.  Each command returns its exit code and its report, and
 ``main`` renders the whole report through ``formats.render`` before writing
 any of it.  Exit codes: 0 success or efficient, 1 inefficient or negative
 result, 2 parse or usage error, 3 work refused as too large (the cycle cap,
-oversized roots for rank --weights, generate beyond n = 1000).
+oversized roots for rank --weights, generate beyond n = 1000) or a
+convexity question that neither step of ``convexity_report`` settles.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[int, dict]:
     else:
         report = decomposition_to_json(d)
     if args.convexity:
-        report["convexity"] = convexity_to_json(convexity_report(d, samples=args.budget, seed=args.seed))
+        report["convexity"] = convexity_to_json(convexity_report(d))
     return EXIT_OK, report
 
 
@@ -255,13 +256,6 @@ def _global_options(parser: argparse.ArgumentParser, sub: bool = False) -> None:
         metavar="p/q",
         help="spectral convergence tolerance (default 1/1000000000000)",
     )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=default(1000),
-        metavar="B",
-        help="sample budget for the convexity search (default 1000)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,8 +323,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError("enumeration cap must be at least 3")
         if args.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if args.budget < 1:
-            raise ValueError("sample budget must be positive")
         code, report = args.func(args)
         # Rendered in full before any of it is written, so a command that
         # fails part way leaves stdout empty.

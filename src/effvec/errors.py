@@ -18,8 +18,9 @@ class ParseError(EffvecError, ValueError):
 
 
 class CapExceededError(EffvecError):
-    """Work refused up front because it would exceed a fixed bound: cycle
-    enumeration beyond the configured cap, or roots of oversized radicands."""
+    """Work refused because it would exceed a fixed bound: cycle enumeration
+    beyond the configured cap, roots of oversized radicands, or a convexity
+    question that the witness draws and the shared edges leave open."""
 
 
 class ConvergenceError(EffvecError):

@@ -11,7 +11,6 @@ builders make it, formatting every rational once; vertices are numbered
 from 1 in every cycle or cut, while in-memory indices are 0-based.
 ``render`` turns a report into its stdout text, as JSON or through one
 text renderer per command, and each text renderer reads only the report.
-A top-level key that begins with "_" is shown by the text form alone.
 Reports are only written: no command reads one back.
 """
 
@@ -203,11 +202,11 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def summary_to_json(extremes: list[int], unit_cycles: int, ray: Vec | None = None) -> dict:
-    """Counts of a decomposition, from its extremes per cone.  The text form
-    also shows a consistent matrix's ray: the text-only key "_ray"."""
+    """Counts of a decomposition, from its extremes per cone, with a
+    consistent matrix's ray."""
     out: dict[str, Any] = {"cones": len(extremes), "unit_cycles": unit_cycles, "extremes_per_cone": extremes}
     if ray is not None:
-        out["_ray"] = _vector_to_json(ray)
+        out["ray"] = _vector_to_json(ray)
     return out
 
 
@@ -216,6 +215,8 @@ def convexity_to_json(report: ConvexityReport) -> dict:
     if report.witness is not None:
         u, v, t = report.witness
         out["witness"] = {"u": _vector_to_json(u), "v": _vector_to_json(v), "t": format_rational(t)}
+    if report.shared_edges is not None:
+        out["shared_edges"] = [[i + 1, j + 1] for i, j in report.shared_edges]
     return out
 
 
@@ -299,7 +300,7 @@ def _check_text(r: dict) -> list[str]:
 
 def _decompose_text(r: dict) -> list[str]:
     lines = []
-    ray = r.get("ray", r.get("_ray"))
+    ray = r.get("ray")
     if ray is not None:
         lines += ["consistent matrix: efficient set is the single ray", "ray: " + " ".join(ray)]
     summary = "extremes_per_cone" in r
@@ -314,10 +315,12 @@ def _decompose_text(r: dict) -> list[str]:
         lines += [f"unit cycle: {_cycle_text(c)}" for c in r["unit_cycles"]]
     if "convexity" in r:
         c = r["convexity"]
-        lines.append(f"convexity: {c['verdict']}" + (f" ({c['reason']})" if c["reason"] else ""))
+        lines.append(f"convexity: {c['verdict']} ({c['reason']})")
         if "witness" in c:
             u, v, t = c["witness"]["u"], c["witness"]["v"], c["witness"]["t"]
             lines.append(f"  witness: t={t}, u={' '.join(u)}, v={' '.join(v)}")
+        if "shared_edges" in c:
+            lines.append("  shared edges: " + " ".join(f"{i}->{j}" for i, j in c["shared_edges"]))
     return lines
 
 
@@ -393,6 +396,5 @@ def render(command: str, report: dict | str, as_json: bool) -> tuple[str, str]:
         failures = "".join(f"FAIL: {line}\n" for line in report["failures"])
         return "\n".join(report["checks"]) + "\n", failures
     if as_json:
-        public = {k: v for k, v in report.items() if not k.startswith("_")}
-        return json.dumps(public, indent=2) + "\n", ""
+        return json.dumps(report, indent=2) + "\n", ""
     return "\n".join(_TEXT[command](report)) + "\n", ""

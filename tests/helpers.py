@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from effvec import (
     Decomposition,
@@ -16,7 +16,6 @@ from effvec import (
     build_digraph,
     is_efficient,
     normalize,
-    proportional,
 )
 
 
@@ -232,38 +231,40 @@ def min_reversal_vector_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) 
     return vec, along
 
 
-def convexity_witness_reference(
-    d: Decomposition, samples: int, seed: int
-) -> tuple[Vec, Vec, Fraction] | None:
-    """The witness search of ``convexity_report`` over a materialized list
-    of all cone pairs: the first (u, v, t) whose blend is inefficient."""
-    weights = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    cone_pairs = list(itertools.combinations(range(len(d.cones)), 2))
-    total = len(weights) * sum(
-        len(d.cones[i].extremes) * len(d.cones[j].extremes) for i, j in cone_pairs
-    )
+def check_convexity_report(a: ReciprocalMatrix, report) -> None:
+    """Check a convexity verdict independently of the library.
 
-    def inefficient(u: Vec, v: Vec, t: Fraction) -> bool:
+    "non_convex": the witness endpoints u and v are efficient and the blend
+    t*u + (1-t)*v is not.  "convex": the rays are recomputed by Fraction
+    back-substitution on every cycle below product 1 (or as a consistent
+    matrix's column), the certificate is exactly the set of edges i -> j
+    that hold on every ray, each tested on integers, and Kosaraju finds it
+    strongly connected.
+    """
+    if report.verdict == "non_convex":
+        u, v, t = report.witness
+        assert 0 < t < 1
         blend = tuple(t * ui + (1 - t) * vi for ui, vi in zip(u, v))
-        return not proportional(u, v) and not is_efficient(d.matrix, blend).efficient
+        assert is_efficient(a, u).efficient and is_efficient(a, v).efficient
+        assert not is_efficient(a, blend).efficient
+        return
+    assert report.verdict == "convex" and report.reason == "shared-edges"
+    n = a.n
+    below, _ = cycles_reference(a)
+    rays = {r for c in below for r in cone_extremes_reference(a, c)} or {normalize(a.column(0))}
+    integer_rays = []
+    for ray in rays:
+        scale = math.lcm(*(x.denominator for x in ray))
+        integer_rays.append([int(x * scale) for x in ray])
 
-    if total <= samples:
-        for i, j in cone_pairs:
-            for u in d.cones[i].extremes:
-                for v in d.cones[j].extremes:
-                    for t in weights:
-                        if inefficient(u, v, t):
-                            return u, v, t
-        return None
-    rng = random.Random(seed)
-    for _ in range(samples):
-        i, j = rng.choice(cone_pairs)
-        u = rng.choice(d.cones[i].extremes)
-        v = rng.choice(d.cones[j].extremes)
-        t = rng.choice(weights)
-        if inefficient(u, v, t):
-            return u, v, t
-    return None
+    def holds(i: int, j: int) -> bool:
+        e = a.entries[i][j]
+        return all(r[i] * e.denominator >= e.numerator * r[j] for r in integer_rays)
+
+    shared = {(i, j) for i in range(n) for j in range(n) if i != j and holds(i, j)}
+    assert set(report.shared_edges) == shared
+    adjacency = tuple(tuple(i == j or (i, j) in shared for j in range(n)) for i in range(n))
+    assert kosaraju_reference(SimpleNamespace(n=n, adjacency=adjacency))[0]
 
 
 # --- graph-search reference for the score-sequence components ---------------

@@ -113,6 +113,24 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "convexity: non_convex" in out and "witness" in out
 
+    def test_convex_certificate(self, files, capsys):
+        assert main(["decompose", files["circulant"], "--convexity"]) == 0
+        assert "convexity: convex (shared-edges)\n  shared edges: " in capsys.readouterr().out
+        assert main(["decompose", files["circulant"], "--summary", "--convexity", "--json"]) == 0
+        convexity = json.loads(capsys.readouterr().out)["convexity"]
+        assert convexity["verdict"] == "convex"
+        assert [1, 4] in convexity["shared_edges"]  # an edge of the cone's cycle 1 -> 4 -> 3 -> 2
+
+    def test_budget_flag_is_gone(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", files["double"], "--convexity", "--budget", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+    def test_summary_json_shows_consistent_ray(self, files, capsys):
+        assert main(["decompose", files["consistent"], "--summary", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ray"] == ["1", "1/2", "1/3"]
+
     def test_consistent_ray(self, files, capsys):
         assert main(["decompose", files["consistent"]]) == 0
         assert "single ray" in capsys.readouterr().out
@@ -348,7 +366,7 @@ class TestConfig:
         "flags,message",
         [
             (["--cap", "2"], "enumeration cap must be at least 3"),
-            (["--budget", "0"], "sample budget must be positive"),
+            (["--tolerance", "-1"], "tolerance must be positive"),
             (["--tolerance", "0"], "tolerance must be positive"),
             (["--tolerance", "abc"], "bad rational literal 'abc'"),
         ],
@@ -369,5 +387,5 @@ class TestConfig:
             main([command, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--json", "--cap", "--seed", "--tolerance", "--budget"):
+        for flag in ("--json", "--cap", "--seed", "--tolerance"):
             assert flag in out

@@ -16,8 +16,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = [
-    "14427 results, sha256 ae0612397d9e2183911501f6199a83290b7c5c13ee4bc07d980855686869d30b",
-    "cli 595 results, sha256 7ac2e4c3d7ebfdee0ead86ae44fa4d9d327881ff5f94f6868184a6e023d95467",
+    "14427 results, sha256 8b2c616cbbbdf630fea48f04389279ebcc1530a97768e0e63092abba99f7f547",
+    "cli 593 results, sha256 48fb4fab5811ec6ab364cebf770aa8a4747e3c1dee35d3e9e300223280d1a40f",
 ]
 
 
