@@ -39,8 +39,8 @@ print(f"  {len(d.cones)} cone(s) with product < 1, {len(d.unit_cycles)} cycle(s)
 cone = d.cones[0]
 print(f"  cycle product = {cone.product}")
 print("  defining inequalities (1-based indices):")
-for i, j, entry in cone.inequalities:
-    print(f"    w{i + 1} >= {entry} * w{j + 1}")
+for i, j in cone.cycle.edges():
+    print(f"    w{i + 1} >= {a.entries[i][j]} * w{j + 1}")
 print("  extreme rays:")
 for ray in cone.extremes:
     print(f"    [{format_vector(ray)}]")

@@ -28,6 +28,7 @@ from .digraph import (
     EfficiencyCertificate,
     HamiltonianCycle,
     build_digraph,
+    common_digraph,
     find_hamiltonian_cycle,
     improve,
     is_efficient,
@@ -101,6 +102,7 @@ __all__ = [
     "classify_perturbation",
     "column_vector",
     "columns_common_cone",
+    "common_digraph",
     "consistent_matrix",
     "convexity_report",
     "count_reversals",

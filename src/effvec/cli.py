@@ -13,6 +13,7 @@ convexity question that neither step of ``convexity_report`` settles.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Sequence
@@ -191,9 +192,7 @@ def _cmd_self_check(args: argparse.Namespace) -> tuple[int, dict]:
         if found is not None:
             cycle_hits += 1
             constructed = is_efficient(a, w).cycle
-            if constructed is None or not all(
-                g.has_edge(i, j) for i, j in constructed.edges()
-            ):
+            if constructed is None or not g.has_cycle(constructed):
                 failures.append(f"constructed cycle invalid on n={n}")
     checks.append(f"cycle oracle: {trials} trials, {cycle_hits} efficient, {'ok' if not failures else 'FAIL'}")
 
@@ -258,7 +257,9 @@ def _global_options(parser: argparse.ArgumentParser, sub: bool = False) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="effvec",
         description="Efficiency analysis of weight vectors for reciprocal matrices.",

@@ -2,10 +2,10 @@
 
 Requiring a fixed Hamiltonian cycle to appear in the dominance digraph of
 (a, w) pins w into a convex polyhedral cone: one linear inequality per cycle
-edge, ``w[i] >= a[i][j] * w[j]``.  These cones are the building blocks of the
-efficient set.  The product of the matrix entries along the cycle controls
-the shape: product < 1 gives a full set of extreme rays, product = 1
-collapses the cone to a single ray, and product > 1 empties it.
+edge, ``w[i] >= a[i][j] * w[j]``, tested by ``DominanceDigraph.has_cycle``.
+These cones are the building blocks of the efficient set.  The product of
+the entries along the cycle controls the shape: product < 1 gives a full
+set of extreme rays, 1 collapses the cone to a single ray, > 1 empties it.
 
 Everything about one cycle comes from a single chain of integer prefix
 products, read from the numerator table of the matrix: the product, its
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .digraph import HamiltonianCycle
-from .matrices import ReciprocalMatrix, Vec, as_weight_vector, is_consistent
+from .matrices import ReciprocalMatrix, Vec, is_consistent
 
 __all__ = [
     "EfficiencyCone",
@@ -31,13 +31,6 @@ __all__ = [
     "efficiency_cone",
     "resolve_unit_cycle",
 ]
-
-
-def _cycle_entries(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Fraction, ...]:
-    """Matrix entries read along the cycle edges."""
-    if cycle.n != a.n:
-        raise ValueError("cycle length does not match matrix dimension")
-    return tuple(a.entries[i][j] for i, j in cycle.edges())
 
 
 def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int]]:
@@ -117,7 +110,7 @@ def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
 class EfficiencyCone:
     """Convex cone of weight vectors whose dominance digraph contains a cycle.
 
-    ``inequalities`` lists (i, j, a_ij) triples meaning w[i] >= a_ij * w[j].
+    w is in the cone exactly when ``build_digraph(a, w).has_cycle(cycle)``.
     ``extremes`` holds the canonical extreme rays: turning all but one edge
     inequality into equalities yields one ray per omitted edge, in edge
     order, and since the product is at most 1 the omitted inequality holds
@@ -126,17 +119,8 @@ class EfficiencyCone:
 
     cycle: HamiltonianCycle
     product: Fraction
-    inequalities: tuple[tuple[int, int, Fraction], ...]
     extremes: tuple[Vec, ...]
     singleton: bool
-
-    def contains(self, w: Sequence[Fraction]) -> bool:
-        """True when w satisfies every edge inequality of the cycle."""
-        vec = as_weight_vector(w)
-        n = self.cycle.n
-        if len(vec) != n:
-            raise ValueError(f"vector length {len(vec)} does not match matrix dimension {n}")
-        return all(vec[i] >= c * vec[j] for i, j, c in self.inequalities)
 
 
 def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyCone:
@@ -144,12 +128,9 @@ def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyC
     R, S = _chain(a, cycle)
     order = cycle.order
     extremes = _extremes(order, R, S)  # raises when the product exceeds 1
-    entries = a.entries
-    after = order[1:] + order[:1]
     return EfficiencyCone(
         cycle=cycle,
         product=Fraction(R[-1], S[-1]),
-        inequalities=tuple(zip(order, after, [entries[i][j] for i, j in zip(order, after)])),
         extremes=extremes,
         singleton=R[-1] == S[-1],
     )
@@ -181,7 +162,11 @@ def resolve_unit_cycle(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Hamilton
     Hamiltonian cycle whose entries are all at most 1 with at least one
     strictly below 1, so its cone strictly absorbs the input ray.
     """
-    if any(value != 1 for value in _cycle_entries(a, cycle)):
+    if cycle.n != a.n:
+        raise ValueError("cycle length does not match matrix dimension")
+    # Entry (i, j) is num[i][j] / num[j][i], so it compares with 1 as they do.
+    num = a._numerators
+    if any(num[i][j] != num[j][i] for i, j in cycle.edges()):
         raise ValueError("resolve_unit_cycle needs a cycle whose entries all equal 1")
     if is_consistent(a):
         raise ValueError("matrix is consistent; every cycle stays at product 1")
@@ -223,7 +208,7 @@ def resolve_unit_cycle(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Hamilton
         pos0 = [pos0[0]] + pos0[:0:-1]
     replacement = HamiltonianCycle.from_vertices([order[p] for p in pos0])
 
-    values = _cycle_entries(a, replacement)
-    if any(v > 1 for v in values) or all(v == 1 for v in values):
+    pairs = [(num[i][j], num[j][i]) for i, j in replacement.edges()]
+    if any(r > s for r, s in pairs) or all(r == s for r, s in pairs):
         raise ValueError("constructed cycle fails its guarantee; please report this input")
     return replacement

@@ -11,20 +11,19 @@ refused beyond a configurable cap instead of silently taking forever.  A
 vector lies in a cycle's cone exactly when every cycle edge is an edge of
 its dominance digraph, so membership walks only that digraph's edges.
 The efficient set is convex exactly when it is the hull of all the cones'
-extreme rays: an inefficient blend of two rays disproves it, and edges that
-every ray's dominance digraph shares, strongly connected, prove it.
+extreme rays: an inefficient blend of two rays disproves it, and the edges
+of ``common_digraph`` over the rays, strongly connected, prove it.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cones import EfficiencyCone, efficiency_cone
-from .digraph import HamiltonianCycle, build_digraph, is_efficient, strongly_connected
+from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient, strongly_connected
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
 
@@ -138,18 +137,16 @@ def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | No
     cycle contains w exactly when the dominance digraph g(w) contains the
     cycle, so the answer is the first cycle of g(w) with product below 1;
     ``d.cones`` is not read.  Without strong connectivity g(w) has no
-    Hamiltonian cycle at all.  For a consistent matrix, members of the
-    single ray report the rotation cycle 0 -> 1 -> ... -> n-1 -> 0: the
-    dominance digraph contains it exactly when w lies on the ray.
+    Hamiltonian cycle at all.  Every cycle of a consistent matrix has
+    product 1, so there the walk takes the first cycle of g(w): g(w) is
+    strongly connected only on the ray, where it is complete, so members
+    report the rotation 0 -> 1 -> ... -> n-1 -> 0.
     """
     g = build_digraph(d.matrix, w)
-    if d.ray is not None:
-        cycle = HamiltonianCycle(tuple(range(d.matrix.n)))
-        return cycle if all(g.has_edge(i, j) for i, j in cycle.edges()) else None
     if not strongly_connected(g)[0]:
         return None
-    found = (order for order, r, s in _walk(d.matrix._numerators, g.adjacency) if r < s)
-    order = next(found, None)
+    walk = _walk(d.matrix._numerators, g.adjacency)
+    order = next((order for order, r, s in walk if r < s or d.ray is not None), None)
     return None if order is None else HamiltonianCycle._unchecked(order)
 
 
@@ -175,25 +172,12 @@ _SEED = 0
 _BLEND_WEIGHTS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
-def _shared_edges(d: Decomposition) -> list[tuple[int, int]]:
-    """Edges i -> j of the dominance digraph of every distinct extreme ray,
-    each tested on integers as r_i * num[j][i] >= num[i][j] * r_j."""
-    num = d.matrix._numerators
-    n = d.matrix.n
-    rays = [d.ray] if d.ray is not None else dict.fromkeys(r for c in d.cones for r in c.extremes)
-    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for ray in rays:
-        scale = math.lcm(*(x.denominator for x in ray))
-        r = [x.numerator * (scale // x.denominator) for x in ray]
-        edges = [(i, j) for i, j in edges if r[i] * num[j][i] >= num[i][j] * r[j]]
-    return edges
-
-
-def _reaches_all(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+def _reaches_all(adjacency: Sequence[Sequence[bool]]) -> bool:
     """Whether every vertex is reached from vertex 0 along the edges."""
+    n = len(adjacency)
     seen = {0}
     for _ in range(n - 1):  # a path visits at most n - 1 further vertices
-        seen |= {j for i, j in edges if i in seen}
+        seen |= {j for i in seen for j in range(n) if adjacency[i][j]}
     return len(seen) == n
 
 
@@ -217,9 +201,11 @@ def convexity_report(d: Decomposition) -> ConvexityReport:
         blend = tuple(t * ui + (1 - t) * vi for ui, vi in zip(u, v))
         if not proportional(u, v) and not is_efficient(a, blend).efficient:
             return ConvexityReport(verdict="non_convex", reason="witness", witness=(u, v, t))
-    edges = _shared_edges(d)
-    if _reaches_all(a.n, edges) and _reaches_all(a.n, [(j, i) for i, j in edges]):
-        return ConvexityReport(verdict="convex", reason="shared-edges", shared_edges=tuple(edges))
+    rays = [d.ray] if d.ray is not None else dict.fromkeys(r for c in cones for r in c.extremes)
+    shared = common_digraph(a, rays)
+    if _reaches_all(shared) and _reaches_all(tuple(zip(*shared))):
+        edges = tuple((i, j) for i, row in enumerate(shared) for j, has in enumerate(row) if has and i != j)
+        return ConvexityReport(verdict="convex", reason="shared-edges", shared_edges=edges)
     raise CapExceededError(
         f"convexity undecided: no witness in {_DRAWS} blend draws, "
         "and the rays' shared edges are not strongly connected"

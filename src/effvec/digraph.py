@@ -7,7 +7,8 @@ exists for every pair (the digraph is semi-complete); ties contribute both.
 
 w is efficient (no other vector weakly improves every entrywise deviation
 from A, strictly somewhere) precisely when this digraph is strongly
-connected, equivalently when it carries a Hamiltonian cycle.  Both
+connected, equivalently when it carries a Hamiltonian cycle.  w lies in
+the efficiency cone of a cycle C exactly when its digraph has C.  Both
 witnesses are direct constructions on a semi-complete digraph: the strong
 components come from the score sequence, the cycle from path insertion.
 When w is inefficient, the source component is the cut of the certificate,
@@ -22,8 +23,9 @@ Fraction arithmetic and no float takes part.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ __all__ = [
     "EfficiencyCertificate",
     "HamiltonianCycle",
     "build_digraph",
+    "common_digraph",
     "strongly_connected",
     "find_hamiltonian_cycle",
     "is_efficient",
@@ -115,6 +118,13 @@ class DominanceDigraph:
     def has_edge(self, i: int, j: int) -> bool:
         return self.adjacency[i][j]
 
+    def has_cycle(self, cycle: HamiltonianCycle) -> bool:
+        """Whether every edge of ``cycle`` is an edge here: for the digraph of
+        (a, w), whether w lies in the efficiency cone of ``cycle``."""
+        if cycle.n != self.n:
+            raise ValueError(f"cycle length {cycle.n} does not match digraph size {self.n}")
+        return all(self.adjacency[i][j] for i, j in cycle.edges())
+
 
 @dataclass(frozen=True)
 class EfficiencyCertificate:
@@ -154,6 +164,18 @@ def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigrap
             row[j] = forward >= backward
             adj[j][i] = backward >= forward
     return DominanceDigraph._unchecked(tuple(map(tuple, adj)))
+
+
+def common_digraph(
+    a: ReciprocalMatrix, vectors: Iterable[Sequence[Fraction]]
+) -> tuple[tuple[bool, ...], ...]:
+    """Adjacency of the edges every vector's dominance digraph has, ANDed in
+    one digraph at a time so memory stays O(n^2); need not be semi-complete."""
+    shared = ((True,) * a.n,) * a.n
+    for w in vectors:
+        adj = build_digraph(a, w).adjacency
+        shared = tuple(tuple(map(operator.and_, mine, theirs)) for mine, theirs in zip(shared, adj))
+    return shared
 
 
 def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .decomposition import DEFAULT_CYCLE_CAP, _refuse_beyond_cap, _walk
-from .digraph import EfficiencyCertificate, HamiltonianCycle, build_digraph, is_efficient
+from .digraph import EfficiencyCertificate, HamiltonianCycle, common_digraph, is_efficient
 from .errors import CapExceededError, ConvergenceError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize
 from .rationals import nth_root_exact, nth_root_floor
@@ -68,6 +69,8 @@ def column_vector(a: ReciprocalMatrix, k: int) -> RankingCandidate:
 
     The method label uses the 1-based index, matching report conventions.
     """
+    if not 0 <= k < a.n:
+        raise IndexError(f"column index {k} out of range for n={a.n}")
     num = a._numerators
     # a_ik / a_0k on the table: a_ik = num[i][k] / num[k][i].
     vec = tuple(Fraction(num[i][k] * num[k][0], num[k][i] * num[0][k]) for i in range(a.n))
@@ -186,7 +189,8 @@ def _power_iteration(rows: list[list[float]], tolerance: Fraction) -> list[float
     differently from 3.12 on).  An iterate with a zero or non-finite
     component has left the float range, and the loop stops there.
     """
-    tol = float(tolerance)
+    # A tolerance beyond the float range stops as the largest float does.
+    tol = float(min(tolerance, sys.float_info.max))
     x = [1.0] * len(rows)
     delta = math.inf
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -330,8 +334,6 @@ def columns_common_cone(
     test is needed.
     """
     _refuse_beyond_cap(a.n, cap)
-    graphs = [build_digraph(a, a.column(j)).adjacency for j in range(a.n)]
-    # Row i of the shared digraph: the edges i -> j that every column's has.
-    shared = [tuple(map(all, zip(*rows))) for rows in zip(*graphs)]
+    shared = common_digraph(a, (a.column(j) for j in range(a.n)))
     first = next(_walk(a._numerators, shared), None)
     return None if first is None else HamiltonianCycle._unchecked(first[0])

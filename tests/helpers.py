@@ -13,6 +13,7 @@ from effvec import (
     HamiltonianCycle,
     ReciprocalMatrix,
     Vec,
+    as_weight_vector,
     build_digraph,
     is_efficient,
     normalize,
@@ -131,6 +132,41 @@ def cone_extremes_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tup
     return tuple(rays)
 
 
+# --- Fraction references for the dominance edge test -----------------------
+
+
+def edge_reference(a: ReciprocalMatrix, w: Vec, i: int, j: int) -> bool:
+    """The dominance edge i -> j of (a, w): w_i >= a_ij * w_j as Fractions."""
+    return w[i] >= a.entries[i][j] * w[j]
+
+
+def cone_contains_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle, w) -> bool:
+    """Whether w satisfies w_i >= a_ij * w_j on every edge of the cycle, in
+    Fractions: the test ``EfficiencyCone.contains`` made before cone
+    membership went through the dominance digraph.  Raises ValueError for a
+    non-positive vector or one whose length differs from the cycle's."""
+    vec = as_weight_vector(w)
+    if len(vec) != cycle.n:
+        raise ValueError(f"vector length {len(vec)} does not match matrix dimension {cycle.n}")
+    return all(edge_reference(a, vec, i, j) for i, j in cycle.edges())
+
+
+def in_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle, w) -> bool:
+    """Cone membership as the library decides it, through the dominance
+    digraph's ``has_cycle``, after asserting that it equals the reference."""
+    inside = build_digraph(a, w).has_cycle(cycle)
+    assert inside == cone_contains_reference(a, cycle, w), (cycle, w)
+    return inside
+
+
+def common_digraph_reference(a: ReciprocalMatrix, vectors: list[Vec]) -> tuple[tuple[bool, ...], ...]:
+    """Edge i -> j when ``edge_reference`` holds for every vector."""
+    n = a.n
+    return tuple(
+        tuple(all(edge_reference(a, w, i, j) for w in vectors) for j in range(n)) for i in range(n)
+    )
+
+
 # --- references for the cycle walker ----------------------------------------
 
 
@@ -152,15 +188,14 @@ def cycles_reference(
 
 
 def membership_reference(d: Decomposition, w: Vec) -> HamiltonianCycle | None:
-    """The first cone of ``d.cones`` whose every edge the dominance digraph
-    of w carries: the cone scan ``membership`` made before its walker."""
-    g = build_digraph(d.matrix, w)
+    """The first cone of ``d.cones`` whose every edge inequality w meets,
+    or for a consistent matrix the rotation cycle when w meets its edges:
+    the cone scan ``membership`` made before its walker."""
+    a = d.matrix
     if d.ray is not None:
-        cycle = HamiltonianCycle(tuple(range(d.matrix.n)))
-        return cycle if all(g.has_edge(i, j) for i, j in cycle.edges()) else None
-    return next(
-        (c.cycle for c in d.cones if all(g.has_edge(i, j) for i, j, _ in c.inequalities)), None
-    )
+        cycle = HamiltonianCycle(tuple(range(a.n)))
+        return cycle if cone_contains_reference(a, cycle, w) else None
+    return next((c.cycle for c in d.cones if cone_contains_reference(a, c.cycle, w)), None)
 
 
 def common_cone_reference(a: ReciprocalMatrix) -> HamiltonianCycle | None:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from effvec import format_matrix, parse_matrix
-from effvec.cli import main
+from effvec.cli import build_parser, main
 
 
 @pytest.fixture
@@ -307,6 +307,16 @@ class TestRank:
         assert "math domain error" not in captured.err
         assert "tolerance must exceed float epsilon 2**-52" in captured.err
 
+    def test_tolerance_above_float_range(self, files, capsys):
+        # Stops as the largest float tolerance does, with no traceback.
+        outputs = []
+        for tolerance in ("1e400", "1.7976931348623157e308"):
+            assert main(["rank", files["circulant"], "--json", "--tolerance", tolerance]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
 
 class TestGenerate:
     def test_deterministic_bytes(self, capsys):
@@ -354,6 +364,9 @@ class TestSelfCheck:
 
 
 class TestConfig:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_bad_tolerance(self, files):
         assert main(["rank", files["circulant"], "--tolerance", "abc"]) == 2
         assert main(["rank", files["circulant"], "--tolerance", "0"]) == 2

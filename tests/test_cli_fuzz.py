@@ -135,7 +135,7 @@ def argvs(draw, matrix, vector, n):
     if draw(st.booleans()):
         flags += ["--seed", str(draw(st.integers(-5, 5)))]
     if draw(st.booleans()):
-        tolerances = ["1/10", "1e-6", "1/1000000000", ""]
+        tolerances = ["1/10", "1e-6", "1/1000000000", "1e400", ""]
         if not valid:
             tolerances += ["0", "-1", "abc", "1e-20", "1e-400", "1e-9999", "1e99999"]
         flags += ["--tolerance", draw(st.sampled_from(tolerances))]

@@ -1,4 +1,8 @@
-"""Efficiency cones: products, extreme rays, membership, unit-cycle repair."""
+"""Efficiency cones: products, extreme rays, membership, unit-cycle repair.
+
+Cone membership is ``build_digraph(a, w).has_cycle(cycle)``; ``in_cone``
+asserts that it equals the Fraction reference each time it is asked.
+"""
 
 from fractions import Fraction
 
@@ -7,6 +11,7 @@ import pytest
 from effvec import (
     HamiltonianCycle,
     MonomialTransform,
+    build_digraph,
     consistent_matrix,
     cycle_product,
     efficiency_cone,
@@ -15,17 +20,19 @@ from effvec import (
     monomial_similarity,
     resolve_unit_cycle,
 )
-from helpers import fractions, identity_cycle, in_conic_hull, unit_cycle_fixture
+from helpers import (
+    cone_contains_reference,
+    fractions,
+    identity_cycle,
+    in_cone,
+    in_conic_hull,
+    unit_cycle_fixture,
+)
 
 
 @pytest.fixture
 def subunit_cycle():
     return HamiltonianCycle.from_vertices((0, 3, 2, 1))
-
-
-@pytest.fixture
-def subunit_cone(circulant4, subunit_cycle):
-    return efficiency_cone(circulant4, subunit_cycle)
 
 
 class TestCycleProduct:
@@ -52,7 +59,7 @@ class TestConeExtremes:
     def test_extremes_satisfy_all_inequalities(self, circulant4, subunit_cycle):
         cone = efficiency_cone(circulant4, subunit_cycle)
         for ext in cone.extremes:
-            assert cone.contains(ext)
+            assert in_cone(circulant4, cone.cycle, ext)
             assert is_efficient(circulant4, ext).efficient
 
     def test_chain_solution_solves_omitted_system(self, circulant4, subunit_cycle):
@@ -83,26 +90,26 @@ class TestConeExtremes:
 
 
 class TestConeMembership:
-    def test_interior_point(self, subunit_cone):
-        assert subunit_cone.contains(fractions(1, 1, 1, 1))
+    def test_interior_point(self, circulant4, subunit_cycle):
+        assert in_cone(circulant4, subunit_cycle, fractions(1, 1, 1, 1))
 
-    def test_outside_point(self, subunit_cone):
-        assert not subunit_cone.contains(fractions(1, 16, 1, 1))
+    def test_outside_point(self, circulant4, subunit_cycle):
+        assert not in_cone(circulant4, subunit_cycle, fractions(1, 16, 1, 1))
 
-    def test_membership_equals_conic_hull(self, subunit_cone):
+    def test_membership_equals_conic_hull(self, circulant4, subunit_cycle):
         import random
 
         rng = random.Random(9)
-        extremes = subunit_cone.extremes
+        extremes = efficiency_cone(circulant4, subunit_cycle).extremes
         for _ in range(200):
             w = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(4))
-            assert subunit_cone.contains(w) == in_conic_hull(extremes, w)
+            assert in_cone(circulant4, subunit_cycle, w) == in_conic_hull(extremes, w)
 
-    def test_conic_combinations_stay_inside(self, subunit_cone):
+    def test_conic_combinations_stay_inside(self, circulant4, subunit_cycle):
         import random
 
         rng = random.Random(10)
-        extremes = subunit_cone.extremes
+        extremes = efficiency_cone(circulant4, subunit_cycle).extremes
         for _ in range(200):
             coeffs = [Fraction(rng.randint(0, 8), rng.randint(1, 5)) for _ in extremes]
             if not any(coeffs):
@@ -110,17 +117,19 @@ class TestConeMembership:
             blend = tuple(
                 sum(c * e[i] for c, e in zip(coeffs, extremes)) for i in range(4)
             )
-            assert subunit_cone.contains(blend)
+            assert in_cone(circulant4, subunit_cycle, blend)
 
     def test_rejects_wrong_length(self, consistent3):
         a = generate("random", 4, seed=0)
-        cone = efficiency_cone(a, HamiltonianCycle.from_vertices((0, 2, 1, 3)))
-        for n in (3, 5):
+        cases = [(a, HamiltonianCycle.from_vertices((0, 2, 1, 3)), fractions(*[1] * n)) for n in (3, 5)]
+        cases.append((consistent3, identity_cycle(3), fractions(1, 1, 1, 1)))
+        for m, cycle, w in cases:
             with pytest.raises(ValueError):
-                cone.contains(fractions(*[1] * n))
-        unit = efficiency_cone(consistent3, identity_cycle(3))
-        with pytest.raises(ValueError):
-            unit.contains(fractions(1, 1, 1, 1))
+                build_digraph(m, w)
+            with pytest.raises(ValueError):
+                cone_contains_reference(m, cycle, w)
+        with pytest.raises(ValueError, match="cycle length 3 does not match digraph size 4"):
+            build_digraph(a, fractions(1, 1, 1, 1)).has_cycle(identity_cycle(3))
 
 
 class TestResolveUnitCycle:

@@ -63,7 +63,6 @@ def check_every_cycle(a: ReciprocalMatrix) -> dict[str, int]:
             ray = cone.extremes[omit if product < 1 else 0]
             assert ray == chain_solution_reference(a, cycle, omit)
         assert cone.singleton == (product == 1)
-        assert cone.inequalities == tuple((i, j, a.entries[i][j]) for i, j in cycle.edges())
         vec, along = min_reversal_vector(a, cycle)
         assert (vec, along) == min_reversal_vector_reference(a, cycle)
         for w in (vec, a.column(0), tuple(Fraction(1) for _ in range(a.n))):

@@ -1,5 +1,6 @@
 """Dominance digraphs, strong connectivity, Hamiltonian cycles, certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from effvec import (
     DominanceDigraph,
     HamiltonianCycle,
     build_digraph,
+    common_digraph,
     exhaustive_hamiltonian,
     find_hamiltonian_cycle,
     generate,
@@ -16,7 +18,14 @@ from effvec import (
     random_weight_vector,
     strongly_connected,
 )
-from helpers import fractions, kosaraju_reference, semicomplete_digraphs
+from effvec.generators import KINDS
+from helpers import (
+    common_digraph_reference,
+    cone_contains_reference,
+    fractions,
+    kosaraju_reference,
+    semicomplete_digraphs,
+)
 
 import random
 
@@ -97,6 +106,23 @@ class TestBuildDigraph:
         w = a.column(0)
         g = build_digraph(a, w)
         assert all(g.has_edge(i, j) for i in range(3) for j in range(3) if i != j)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cycles_and_shared_edges_equal_fraction_references(kind):
+    rng = random.Random(kind)
+    for n in range(3, 7):
+        cycles = [HamiltonianCycle((0,) + rest) for rest in itertools.permutations(range(1, n))]
+        for seed in range(3):
+            a = generate(kind, n, seed=seed)
+            vectors = [random_weight_vector(rng, n) for _ in range(20)]
+            for w in vectors:
+                g = build_digraph(a, w)
+                for cycle in cycles:
+                    assert g.has_cycle(cycle) == cone_contains_reference(a, cycle, w)
+            columns = [a.column(k) for k in range(n)]
+            for group in (vectors, vectors[:1], columns, []):
+                assert common_digraph(a, group) == common_digraph_reference(a, group)
 
 
 def _reachable(g, start: int) -> set[int]:

@@ -33,6 +33,7 @@ from effvec.ranking import MAX_ITERATIONS, _gram, _integer_rows, _radicand, _res
 from helpers import (
     fractions,
     gram_reference,
+    in_cone,
     matrix_of,
     radicand_reference,
     spectral_residual_reference,
@@ -50,6 +51,11 @@ class TestColumnVector:
     def test_one_based_label(self, circulant4):
         assert column_vector(circulant4, 0).method == "column-1"
         assert column_vector(circulant4, 3).method == "column-4"
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_index_out_of_range(self, circulant4, k):
+        with pytest.raises(IndexError, match=f"column index {k} out of range for n=4"):
+            column_vector(circulant4, k)
 
 
 class TestWeightedGeometric:
@@ -372,7 +378,7 @@ class TestColumnsCommonCone:
         assert cycle is not None
         cone = efficiency_cone(consistent3, cycle)
         for k in range(3):
-            assert cone.contains(consistent3.column(k))
+            assert in_cone(consistent3, cone.cycle, consistent3.column(k))
 
     def test_double4_first_cycle(self, double4):
         cycle = columns_common_cone(double4)
