@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .bruteforce import dominance_search, exhaustive_hamiltonian, probe
 from .cones import cycle_product
-from .decomposition import DEFAULT_CYCLE_CAP, convexity_report, decompose, enumerate_cycles, membership
+from .decomposition import DEFAULT_CYCLE_CAP, convexity_report, decompose, membership
 from .digraph import HamiltonianCycle, build_digraph, improve, is_efficient, strongly_connected
 from .errors import CapExceededError, ConvergenceError, EffvecError, ParseError
 from .formats import (
@@ -38,7 +38,6 @@ from .formats import (
     summary_to_json,
 )
 from .generators import KINDS, generate, random_weight_vector
-from .matrices import is_consistent
 from .perturbed import classify_perturbation, detect_column_perturbed, efficient_set_union
 from .ranking import (
     DEFAULT_TOLERANCE,
@@ -100,15 +99,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_decompose(args: argparse.Namespace) -> tuple[int, dict]:
     a = parse_matrix(_read_text(args.matrix))
-    if args.summary and not args.convexity and not is_consistent(a):
-        # Counts need no cone: below product 1 every cone has n extreme rays.
-        below, unit = enumerate_cycles(a, cap=args.cap)
-        return EXIT_OK, summary_to_json([a.n] * len(below), len(unit))
     d = decompose(a, cap=args.cap)
-    if args.summary:
-        report = summary_to_json([len(c.extremes) for c in d.cones], len(d.unit_cycles), d.ray)
-    else:
-        report = decomposition_to_json(d)
+    report = summary_to_json(d) if args.summary else decomposition_to_json(d)
     if args.convexity:
         report["convexity"] = convexity_to_json(convexity_report(d))
     return EXIT_OK, report
@@ -120,6 +112,8 @@ def _cmd_reversals(args: argparse.Namespace) -> tuple[int, dict | str]:
     if args.minimize:
         if cycle is None:
             raise ParseError("--minimize needs --cycle")
+        if args.vector is not None:
+            raise ParseError("--minimize takes no vector file")
         if cycle_product(a, cycle) > 1:
             return EXIT_NEGATIVE, "cycle product exceeds 1: no vector admits this cycle"
         vec, along = min_reversal_vector(a, cycle)

@@ -9,8 +9,8 @@ set of extreme rays, 1 collapses the cone to a single ray, > 1 empties it.
 
 Everything about one cycle comes from a single chain of integer prefix
 products, read from the numerator table of the matrix: the product, its
-comparison with 1, and the extreme rays.  ``efficiency_cone`` assembles
-them; below product 1, entry k of its ``extremes`` is the ray that leaves
+comparison with 1, and the extreme rays, which a cone builds on first
+read; below product 1, entry k of ``extremes`` is the ray that leaves
 edge k slack.  That ray is the same chain of prefix products scaled by the
 cycle product beyond position k, so the n rays are rotations of one chain
 and share 2n - 1 Fractions; no Fraction arithmetic decides anything.
@@ -18,7 +18,8 @@ and share 2n - 1 Fractions; no Fraction arithmetic decides anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -110,30 +111,35 @@ def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
 class EfficiencyCone:
     """Convex cone of weight vectors whose dominance digraph contains a cycle.
 
-    w is in the cone exactly when ``build_digraph(a, w).has_cycle(cycle)``.
-    ``extremes`` holds the canonical extreme rays: turning all but one edge
-    inequality into equalities yields one ray per omitted edge, in edge
-    order, and since the product is at most 1 the omitted inequality holds
-    and the rays span the cone.  At product 1 they coincide in one ray.
+    The matrix and the cycle fix the cone; w is in it exactly when
+    ``build_digraph(matrix, w).has_cycle(cycle)``.  ``extremes``, built on
+    first read, holds the canonical extreme rays: all but one edge
+    inequality solved as equalities give one ray per omitted edge, in edge
+    order; at product <= 1 the omitted one holds and the rays span the cone.
     """
 
+    matrix: ReciprocalMatrix = field(repr=False)
     cycle: HamiltonianCycle
-    product: Fraction
-    extremes: tuple[Vec, ...]
-    singleton: bool
+
+    @property
+    def product(self) -> Fraction:
+        return cycle_product(self.matrix, self.cycle)
+
+    @property
+    def singleton(self) -> bool:
+        return self.product == 1
+
+    @functools.cached_property
+    def extremes(self) -> tuple[Vec, ...]:
+        return _extremes(self.cycle.order, *_chain(self.matrix, self.cycle))
 
 
 def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyCone:
-    """Assemble the cone record for a cycle with product at most 1."""
-    R, S = _chain(a, cycle)
-    order = cycle.order
-    extremes = _extremes(order, R, S)  # raises when the product exceeds 1
-    return EfficiencyCone(
-        cycle=cycle,
-        product=Fraction(R[-1], S[-1]),
-        extremes=extremes,
-        singleton=R[-1] == S[-1],
-    )
+    """The cone record for a cycle with product at most 1."""
+    cone = EfficiencyCone(a, cycle)
+    if cone.product > 1:
+        raise ValueError("cycle product exceeds 1; the cone is empty")
+    return cone
 
 
 def _consecutive_case_positions(n: int, k: int, diag: list[Fraction]) -> list[int] | None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cones import EfficiencyCone, efficiency_cone
+from .cones import EfficiencyCone
 from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient, strongly_connected
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
@@ -122,11 +122,11 @@ class Decomposition:
 
 
 def decompose(a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP) -> Decomposition:
-    """Full cone decomposition of the efficient set of ``a``."""
+    """Full cone decomposition of the efficient set of ``a``; rays come on first read."""
     if is_consistent(a):
         return Decomposition(matrix=a, cones=(), unit_cycles=(), ray=normalize(a.column(0)))
     below_one, unit = enumerate_cycles(a, cap)
-    cones = tuple(efficiency_cone(a, c) for c in below_one)
+    cones = tuple(EfficiencyCone(a, c) for c in below_one)  # the walk put each product below 1
     return Decomposition(matrix=a, cones=cones, unit_cycles=unit)
 
 

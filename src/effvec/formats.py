@@ -97,9 +97,12 @@ def _parse_matrix_text(text: str) -> ReciprocalMatrix:
                 raise ParseError(str(exc), f"line {no}, entry {c + 1}") from None
         rows.append(tuple(row))
     try:
-        return ReciprocalMatrix(tuple(rows))
+        a = ReciprocalMatrix(tuple(rows))
     except ValueError as exc:
         raise ParseError(str(exc), "matrix") from None
+    if len(lines) > n + 1:
+        raise ParseError(f"unexpected line after the {n} matrix rows", f"line {lines[n + 1][0]}")
+    return a
 
 
 def _matrix_from_json(payload: Any) -> ReciprocalMatrix:
@@ -201,12 +204,13 @@ def decomposition_to_json(d: Decomposition) -> dict:
     return out
 
 
-def summary_to_json(extremes: list[int], unit_cycles: int, ray: Vec | None = None) -> dict:
-    """Counts of a decomposition, from its extremes per cone, with a
-    consistent matrix's ray."""
-    out: dict[str, Any] = {"cones": len(extremes), "unit_cycles": unit_cycles, "extremes_per_cone": extremes}
-    if ray is not None:
-        out["ray"] = _vector_to_json(ray)
+def summary_to_json(d: Decomposition) -> dict:
+    """Counts of a decomposition, with a consistent matrix's ray.  Below
+    product 1 every cone has n extreme rays, so none is built."""
+    out: dict[str, Any] = {"cones": len(d.cones), "unit_cycles": len(d.unit_cycles)}
+    out["extremes_per_cone"] = [d.matrix.n] * len(d.cones)
+    if d.ray is not None:
+        out["ray"] = _vector_to_json(d.ray)
     return out
 
 

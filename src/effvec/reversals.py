@@ -53,13 +53,6 @@ def _classify(
     return STRICT_FLIP if (r < s) == (x > y) else None
 
 
-def _along(num: Sequence[Sequence[int]], w: Vec, cycle: HamiltonianCycle) -> int:
-    """How many cycle edges join a reversing pair."""
-    p = [v.numerator for v in w]
-    q = [v.denominator for v in w]
-    return sum(1 for i, j in cycle.edges() if _classify(num, p, q, i, j) is not None)
-
-
 def count_reversals(
     a: ReciprocalMatrix, w: Sequence[Fraction], cycle: HamiltonianCycle | None = None
 ) -> ReversalReport:
@@ -85,7 +78,8 @@ def count_reversals(
     if cycle is not None:
         if cycle.n != n:
             raise ValueError("cycle length does not match matrix dimension")
-        along = _along(num, vec, cycle)
+        joined = {(min(edge), max(edge)) for edge in cycle.edges()}  # two edges at n = 2
+        along = sum(1 for i, j, _ in pairs if (i, j) in joined)
     return ReversalReport(pairs=tuple(pairs), along_cycle=along)
 
 
@@ -110,7 +104,5 @@ def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[V
         if r * edges[wrap][1] > edges[wrap][0] * s:
             wrap = t
     p, q = _ray(order, R, S, wrap)
-    # An edge solved as an equality never reverses, so only the slack edge
-    # can; the test compares cross products and ignores the scale of p/q.
-    along = _classify(num, p, q, order[wrap], after[wrap]) is not None
-    return tuple(map(Fraction, p, q)), int(along)
+    r, s = edges[wrap]
+    return tuple(map(Fraction, p, q)), int(r <= s and R[-1] < S[-1])

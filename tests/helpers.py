@@ -250,8 +250,8 @@ def count_reversals_reference(
                 pairs.append((i, j, kind))
     along = None
     if cycle is not None:
-        reversing = {(min(i, j), max(i, j)) for i, j, _ in pairs}
-        along = sum(1 for i, j in cycle.edges() if (min(i, j), max(i, j)) in reversing)
+        joined = {(min(i, j), max(i, j)) for i, j in cycle.edges()}
+        along = sum(1 for i, j, _ in pairs if (i, j) in joined)
     return tuple(pairs), along
 
 

@@ -24,6 +24,7 @@ def files(tmp_path, circulant4, double4, perturbed5, consistent3):
         "column": write("column.txt", "1 1/2 1 2\n"),
         "blend": write("blend.txt", "2 4 5 4\n"),
         "bad": write("bad.txt", "4\n1 2\n"),
+        "trailing": write("trailing.txt", "2\n1 2\n1/2 1\n7 7 7\nfoo\n"),
         "tmp": tmp_path,
     }
 
@@ -42,6 +43,11 @@ class TestCheck:
     def test_parse_error_exit_two(self, files, capsys):
         assert main(["check", files["bad"], files["column"]]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_line_after_rows_exit_two(self, files, capsys):
+        assert main(["check", files["trailing"], files["column"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 4: unexpected line" in captured.err
 
     def test_missing_file_exit_two(self, files):
         assert main(["check", str(files["tmp"] / "nope.txt"), files["column"]]) == 2
@@ -89,12 +95,12 @@ class TestDecompose:
         assert "unit-product cycles: 4" in out and "extremes per cone: 4" in out
 
     def test_summary_builds_no_cone(self, files, capsys, monkeypatch):
-        import effvec.decomposition
+        import effvec.cones
 
         def refuse(*args):
-            raise AssertionError("a summary needs no cone")
+            raise AssertionError("a summary needs no extreme ray")
 
-        monkeypatch.setattr(effvec.decomposition, "efficiency_cone", refuse)
+        monkeypatch.setattr(effvec.cones, "_extremes", refuse)
         assert main(["decompose", files["double"], "--summary"]) == 0
         assert "extremes per cone: 4 4 4\n" in capsys.readouterr().out
         assert main(["decompose", files["double"], "--summary", "--json"]) == 0
@@ -179,6 +185,20 @@ class TestReversals:
 
     def test_minimize_needs_cycle(self, files):
         assert main(["reversals", files["circulant"], "--minimize"]) == 2
+
+    def test_minimize_refuses_vector_file(self, files, capsys):
+        argv = ["reversals", files["circulant"], files["bad"], "--minimize", "--cycle", "1,4,3,2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--minimize takes no vector file" in captured.err
+
+    def test_along_cycle_at_n2(self, files, capsys):
+        matrix, vector = files["tmp"] / "m2.txt", files["tmp"] / "w2.txt"
+        matrix.write_text("2\n1 2\n1/2 1\n")
+        vector.write_text("1 1\n")
+        assert main(["reversals", str(matrix), str(vector), "--cycle", "2,1"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\ncount: 1\nalong-cycle count: 1\n")
 
     def test_missing_vector(self, files):
         assert main(["reversals", files["circulant"]]) == 2

@@ -4,24 +4,32 @@ Cone membership is ``build_digraph(a, w).has_cycle(cycle)``; ``in_cone``
 asserts that it equals the Fraction reference each time it is asked.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import effvec.cones
 from effvec import (
+    EfficiencyCone,
     HamiltonianCycle,
     MonomialTransform,
     build_digraph,
     consistent_matrix,
     cycle_product,
+    decompose,
     efficiency_cone,
     generate,
     is_efficient,
+    membership,
+    min_reversal_vector,
     monomial_similarity,
     resolve_unit_cycle,
 )
 from helpers import (
     cone_contains_reference,
+    cone_extremes_reference,
+    cycles_reference,
     fractions,
     identity_cycle,
     in_cone,
@@ -87,6 +95,35 @@ class TestConeExtremes:
             cycle = HamiltonianCycle.from_vertices(order)
             if cycle_product(double4, cycle) < 1:
                 assert len(efficiency_cone(double4, cycle).extremes) == 4
+
+
+class TestLazyRays:
+    """A cone is its matrix and its cycle; its rays are built on first read."""
+
+    def test_record_holds_matrix_and_cycle(self):
+        assert [f.name for f in dataclasses.fields(EfficiencyCone)] == ["matrix", "cycle"]
+
+    def test_no_ray_built_without_a_read(self, monkeypatch):
+        a = generate("random", 5, seed=3)
+
+        def refuse(*args):
+            raise AssertionError("no extreme ray was asked for")
+
+        monkeypatch.setattr(effvec.cones, "_extremes", refuse)
+        d = decompose(a)
+        assert [c.cycle for c in d.cones] == list(cycles_reference(a)[0])
+        assert membership(d, a.column(0)) is not None
+        for cone in d.cones:
+            min_reversal_vector(a, cone.cycle)
+        with pytest.raises(AssertionError):
+            d.cones[0].extremes
+
+    def test_rays_built_once_and_equal_reference(self):
+        a = generate("random", 5, seed=3)
+        for cone in decompose(a).cones:
+            assert cone.extremes == cone_extremes_reference(a, cone.cycle)
+            assert cone.extremes is cone.extremes
+            assert cone.product < 1 and not cone.singleton
 
 
 class TestConeMembership:

@@ -47,6 +47,11 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="expected 3 rows"):
             parse_matrix("3\n1 2\n")
 
+    def test_line_after_last_row_refused(self):
+        with pytest.raises(ParseError, match="line 5: unexpected line after the 2 matrix rows"):
+            parse_matrix("2\n1 2\n1/2 1\n# comment\n7 7 7\nfoo\n")
+        assert parse_matrix("2\n1 2\n1/2 1\n# comment\n\n").n == 2
+
     def test_reciprocity_error_wrapped(self):
         with pytest.raises(ParseError, match="not reciprocal"):
             parse_matrix("2\n1 3\n2 1\n")

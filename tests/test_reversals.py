@@ -15,7 +15,7 @@ from effvec import (
     min_reversal_vector,
 )
 from effvec.reversals import STRICT_FLIP, TIE_BROKEN, TIE_FORCED
-from helpers import fractions, identity_cycle, matrix_of
+from helpers import count_reversals_reference, fractions, identity_cycle, matrix_of
 
 
 class TestCountReversals:
@@ -45,6 +45,15 @@ class TestCountReversals:
         report = count_reversals(circulant4, w, cycle=cycle)
         assert report.along_cycle is not None
         assert report.along_cycle <= report.count
+
+    def test_along_cycle_counts_each_pair_once_at_n2(self):
+        # At n = 2 the cycle 1 -> 2 -> 1 has two edges on one pair.
+        a = matrix_of([[1, 2], [Fraction(1, 2), 1]])
+        w = fractions(1, 1)
+        cycle = HamiltonianCycle.from_vertices((1, 0))
+        report = count_reversals(a, w, cycle=cycle)
+        assert (report.count, report.along_cycle) == (1, 1)
+        assert (report.pairs, report.along_cycle) == count_reversals_reference(a, w, cycle)
 
     def test_pairs_sorted_and_unique(self, double4):
         report = count_reversals(double4, fractions(1, 2, 1, 2))
