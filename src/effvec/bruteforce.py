@@ -11,12 +11,12 @@ complete: it finds a dominator exactly when one exists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .digraph import DominanceDigraph, HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector, proportional
+from .records import Record
 
 __all__ = ["DominanceProbe", "exhaustive_hamiltonian", "dominance_search", "probe"]
 
@@ -35,8 +35,7 @@ def exhaustive_hamiltonian(g: DominanceDigraph) -> HamiltonianCycle | None:
     return None
 
 
-@dataclass(frozen=True)
-class DominanceProbe:
+class DominanceProbe(Record):
     """Entrywise comparison of a candidate vector with a base vector.
 
     The candidate dominates the base when every absolute deviation
@@ -44,9 +43,10 @@ class DominanceProbe:
     smaller, and the vectors are not proportional.
     """
 
-    weak: bool
-    strict_positions: tuple[tuple[int, int], ...]
-    proportional: bool
+    __slots__ = _fields = ("weak", "strict_positions", "proportional")
+
+    def __init__(self, weak: bool, strict_positions: tuple[tuple[int, int], ...], proportional: bool) -> None:
+        self._set(weak, strict_positions, proportional)
 
     @property
     def dominates(self) -> bool:

@@ -19,12 +19,12 @@ and share 2n - 1 Fractions; no Fraction arithmetic decides anything.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, is_consistent
+from .records import Record
 
 __all__ = [
     "EfficiencyCone",
@@ -107,8 +107,7 @@ def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     return Fraction(R[-1], S[-1])
 
 
-@dataclass(frozen=True)
-class EfficiencyCone:
+class EfficiencyCone(Record):
     """Convex cone of weight vectors whose dominance digraph contains a cycle.
 
     The matrix and the cycle fix the cone; w is in it exactly when
@@ -118,8 +117,14 @@ class EfficiencyCone:
     order; at product <= 1 the omitted one holds and the rays span the cone.
     """
 
-    matrix: ReciprocalMatrix = field(repr=False)
-    cycle: HamiltonianCycle
+    _fields = ("matrix", "cycle")
+
+    def __init__(self, matrix: ReciprocalMatrix, cycle: HamiltonianCycle) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "cycle", cycle)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(cycle={self.cycle!r})"
 
     @property
     def product(self) -> Fraction:

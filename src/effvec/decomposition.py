@@ -18,7 +18,6 @@ of ``common_digraph`` over the rays, strongly connected, prove it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -26,6 +25,7 @@ from .cones import EfficiencyCone
 from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient, strongly_connected
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
+from .records import Record
 
 __all__ = [
     "DEFAULT_CYCLE_CAP",
@@ -104,8 +104,7 @@ def enumerate_cycles(
     return tuple(below_one), tuple(unit)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Cone cover of the efficient set of a matrix.
 
     ``cones`` holds one cone per sub-unit-product cycle, in enumeration
@@ -118,7 +117,11 @@ class Decomposition:
     matrix: ReciprocalMatrix
     cones: tuple[EfficiencyCone, ...]
     unit_cycles: tuple[HamiltonianCycle, ...]
-    ray: Vec | None = None
+    ray: Vec | None
+    __slots__ = _fields = ("matrix", "cones", "unit_cycles", "ray")
+
+    def __init__(self, matrix, cones, unit_cycles, ray=None) -> None:
+        self._set(matrix, cones, unit_cycles, ray)
 
 
 def decompose(a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP) -> Decomposition:
@@ -150,8 +153,7 @@ def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | No
     return None if order is None else HamiltonianCycle._unchecked(order)
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(Record):
     """Verdict on convexity of the efficient set: "convex" or "non_convex".
 
     A "non_convex" verdict carries a checked witness (u, v, t): both
@@ -162,8 +164,12 @@ class ConvexityReport:
 
     verdict: str
     reason: str
-    witness: tuple[Vec, Vec, Fraction] | None = None
-    shared_edges: tuple[tuple[int, int], ...] | None = None
+    witness: tuple[Vec, Vec, Fraction] | None
+    shared_edges: tuple[tuple[int, int], ...] | None
+    __slots__ = _fields = ("verdict", "reason", "witness", "shared_edges")
+
+    def __init__(self, verdict, reason, witness=None, shared_edges=None) -> None:
+        self._set(verdict, reason, witness, shared_edges)
 
 
 # The witness search: seeded draws of blends of two cones' extreme rays.

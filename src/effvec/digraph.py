@@ -24,12 +24,12 @@ Fraction arithmetic and no float takes part.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from fractions import Fraction
 
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
+from .records import Record
 
 __all__ = [
     "DominanceDigraph",
@@ -44,20 +44,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HamiltonianCycle:
+class HamiltonianCycle(Record):
     """A directed cycle visiting every vertex once; stored starting at vertex 0."""
 
-    order: tuple[int, ...]
+    __slots__ = _fields = ("order",)
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
+    def __init__(self, order: tuple[int, ...]) -> None:
+        n = len(order)
         if n < 2:
             raise ValueError("cycles need at least two vertices")
-        if sorted(self.order) != list(range(n)):
+        if sorted(order) != list(range(n)):
             raise ValueError("cycle must visit each vertex exactly once")
-        if self.order[0] != 0:
+        if order[0] != 0:
             raise ValueError("canonical cycles start at vertex 0; use from_vertices")
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def _unchecked(cls, order: tuple[int, ...]) -> "HamiltonianCycle":
@@ -85,8 +85,7 @@ class HamiltonianCycle:
         return tuple((self.order[t], self.order[(t + 1) % n]) for t in range(n))
 
 
-@dataclass(frozen=True)
-class DominanceDigraph:
+class DominanceDigraph(Record):
     """Adjacency of the dominance relation; adjacency[i][j] is the edge i -> j.
 
     The digraph must be semi-complete, with an edge in at least one
@@ -96,13 +95,14 @@ class DominanceDigraph:
     ``ValueError`` on a non-square or not semi-complete adjacency.
     """
 
-    adjacency: tuple[tuple[bool, ...], ...]
+    __slots__ = _fields = ("adjacency",)
 
-    def __post_init__(self) -> None:
-        adj, n = self.adjacency, len(self.adjacency)
+    def __init__(self, adjacency: tuple[tuple[bool, ...], ...]) -> None:
+        adj, n = adjacency, len(adjacency)
         square = all(len(row) == n for row in adj)
         if not square or not all(adj[i][j] or adj[j][i] for j in range(n) for i in range(j)):
             raise ValueError("adjacency must be square and semi-complete: an edge between every two vertices")
+        object.__setattr__(self, "adjacency", adjacency)
 
     @classmethod
     def _unchecked(cls, adjacency: tuple[tuple[bool, ...], ...]) -> "DominanceDigraph":
@@ -126,8 +126,7 @@ class DominanceDigraph:
         return all(self.adjacency[i][j] for i, j in cycle.edges())
 
 
-@dataclass(frozen=True)
-class EfficiencyCertificate:
+class EfficiencyCertificate(Record):
     """Outcome of the efficiency test, with a checkable witness either way.
 
     Efficient vectors carry a Hamiltonian cycle of the dominance digraph;
@@ -136,8 +135,14 @@ class EfficiencyCertificate:
     """
 
     efficient: bool
-    cycle: HamiltonianCycle | None = None
-    cut: tuple[int, ...] | None = None
+    cycle: HamiltonianCycle | None
+    cut: tuple[int, ...] | None
+    __slots__ = _fields = ("efficient", "cycle", "cut")
+
+    def __init__(self, efficient, cycle=None, cut=None) -> None:
+        object.__setattr__(self, "efficient", efficient)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "cut", cut)
 
 
 def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigraph:

@@ -9,11 +9,11 @@ to 1 as the canonical representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .rationals import rationalize
+from .records import Record
 
 __all__ = [
     "Vec",
@@ -56,8 +56,7 @@ def proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
     return all(u[0] * v[i] == v[0] * u[i] for i in range(len(u)))
 
 
-@dataclass(frozen=True)
-class ReciprocalMatrix:
+class ReciprocalMatrix(Record):
     """Square positive matrix with unit diagonal and exact reciprocal symmetry.
 
     ``_numerators[i][j]`` is the numerator of the reduced ``entries[i][j]``.
@@ -65,15 +64,14 @@ class ReciprocalMatrix:
     this one integer table lets edge and consistency tests run on integers.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
+    __slots__ = ("entries", "_numerators")
 
-    def __post_init__(self) -> None:
-        e = self.entries
-        n = len(e)
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        n = len(entries)
         if n < 2:
             raise ValueError("comparison matrices need dimension at least 2")
-        for i, row in enumerate(e):
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             for j, value in enumerate(row):
@@ -81,14 +79,15 @@ class ReciprocalMatrix:
                     raise TypeError("matrix entries must be Fractions")
                 if value.numerator <= 0:
                     raise ValueError(f"entry ({i},{j}) is not positive")
-        num = tuple(tuple(value.numerator for value in row) for row in e)
+        num = tuple(tuple(value.numerator for value in row) for row in entries)
         for i in range(n):
-            if num[i][i] != 1 or e[i][i].denominator != 1:
+            if num[i][i] != 1 or entries[i][i].denominator != 1:
                 raise ValueError(f"diagonal entry ({i},{i}) must equal 1")
             for j in range(i + 1, n):
                 # Reduced fractions: a_ji == 1 / a_ij swaps numerator and denominator.
-                if num[j][i] != e[i][j].denominator or num[i][j] != e[j][i].denominator:
+                if num[j][i] != entries[i][j].denominator or num[i][j] != entries[j][i].denominator:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not reciprocal")
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_numerators", num)
 
     @classmethod
@@ -133,25 +132,24 @@ def is_consistent(a: ReciprocalMatrix) -> bool:
     return _consistent_on(a, range(a.n))
 
 
-@dataclass(frozen=True)
-class MonomialTransform:
+class MonomialTransform(Record):
     """Positive diagonal rescaling followed by an index permutation.
 
     ``perm[i]`` is the new position of index i; ``scale[i]`` multiplies the
     weight at old index i.  These transforms preserve efficiency structure.
     """
 
-    scale: Vec
-    perm: tuple[int, ...]
+    __slots__ = _fields = ("scale", "perm")
 
-    def __post_init__(self) -> None:
-        n = len(self.scale)
-        if len(self.perm) != n:
+    def __init__(self, scale: Vec, perm: tuple[int, ...]) -> None:
+        n = len(scale)
+        if len(perm) != n:
             raise ValueError("scale and permutation must have equal length")
-        if sorted(self.perm) != list(range(n)):
+        if sorted(perm) != list(range(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        if any(not isinstance(s, Fraction) or s <= 0 for s in self.scale):
+        if any(not isinstance(s, Fraction) or s <= 0 for s in scale):
             raise ValueError("scale factors must be positive Fractions")
+        self._set(scale, perm)
 
     @property
     def n(self) -> int:

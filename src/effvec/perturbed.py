@@ -12,7 +12,6 @@ ordered index pair (top, bottom) whose first-row entries satisfy
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .matrices import (
     is_consistent,
     monomial_similarity,
 )
+from .records import Record
 
 __all__ = [
     "ColumnPerturbedForm",
@@ -47,8 +47,7 @@ COLUMN = "column"
 NOT_COLUMN_PERTURBED = "not-column-perturbed"
 
 
-@dataclass(frozen=True)
-class ColumnPerturbedForm:
+class ColumnPerturbedForm(Record):
     """Canonical form of a column-perturbed consistent matrix.
 
     ``canonical`` has the perturbed index at position 0 and an all-ones
@@ -64,6 +63,10 @@ class ColumnPerturbedForm:
     index: int
     candidates: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("canonical", "transform", "index", "candidates", "pairs")
+
+    def __init__(self, canonical, transform, index, candidates, pairs) -> None:
+        self._set(canonical, transform, index, candidates, pairs)
 
 
 def _deletion_consistent(a: ReciprocalMatrix, drop: int) -> bool:
@@ -121,8 +124,7 @@ def detect_column_perturbed(a: ReciprocalMatrix) -> ColumnPerturbedForm | None:
     )
 
 
-@dataclass(frozen=True)
-class EfficiencyBand:
+class EfficiencyBand(Record):
     """One convex piece of the efficient set of a canonical perturbed matrix.
 
     Membership: cap * w[0] >= w[top] >= w[k] >= w[bottom] >= floor * w[0]
@@ -130,10 +132,10 @@ class EfficiencyBand:
     cap = a[top][0] and floor = a[bottom][0].
     """
 
-    top: int
-    bottom: int
-    cap: Fraction
-    floor: Fraction
+    __slots__ = _fields = ("top", "bottom", "cap", "floor")
+
+    def __init__(self, top: int, bottom: int, cap: Fraction, floor: Fraction) -> None:
+        self._set(top, bottom, cap, floor)
 
     def contains(self, w: Sequence[Fraction]) -> bool:
         vec = as_weight_vector(w)

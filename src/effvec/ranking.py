@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -30,6 +29,7 @@ from .digraph import EfficiencyCertificate, HamiltonianCycle, common_digraph, is
 from .errors import CapExceededError, ConvergenceError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize
 from .rationals import nth_root_exact, nth_root_floor
+from .records import Record
 
 __all__ = [
     "RankingCandidate",
@@ -48,8 +48,7 @@ MAX_ITERATIONS = 10_000
 MAX_RADICAND_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
-class RankingCandidate:
+class RankingCandidate(Record):
     """A proposed ranking vector with its exact efficiency certificate.
 
     ``exact`` records whether the vector is the mathematically exact object
@@ -61,7 +60,11 @@ class RankingCandidate:
     vector: Vec
     certificate: EfficiencyCertificate
     exact: bool
-    residual: Fraction | None = None
+    residual: Fraction | None
+    __slots__ = _fields = ("method", "vector", "certificate", "exact", "residual")
+
+    def __init__(self, method, vector, certificate, exact, residual=None) -> None:
+        self._set(method, vector, certificate, exact, residual)
 
 
 def column_vector(a: ReciprocalMatrix, k: int) -> RankingCandidate:

@@ -7,13 +7,13 @@ conversely), or exactly one of the two expresses a tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cones import _chain, _ray
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
+from .records import Record
 
 __all__ = ["ReversalReport", "count_reversals", "min_reversal_vector"]
 
@@ -24,12 +24,13 @@ TIE_BROKEN = "tie-broken"
 TIE_FORCED = "tie-forced"
 
 
-@dataclass(frozen=True)
-class ReversalReport:
+class ReversalReport(Record):
     """Reversing pairs of (matrix, vector), with an optional cycle-local count."""
 
-    pairs: tuple[tuple[int, int, str], ...]
-    along_cycle: int | None = None
+    __slots__ = _fields = ("pairs", "along_cycle")
+
+    def __init__(self, pairs: tuple[tuple[int, int, str], ...], along_cycle: int | None = None) -> None:
+        self._set(pairs, along_cycle)
 
     @property
     def count(self) -> int:

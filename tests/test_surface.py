@@ -25,14 +25,24 @@ def test_module_names_resolve(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # A fresh interpreter: this one may have numpy loaded by another test.
+def _loaded_by_cli_import(names):
+    """Which of ``names`` a fresh interpreter has loaded after ``import effvec.cli``."""
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, effvec.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, effvec.cli; print([m for m in {names!r} if m in sys.modules])"],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # A fresh interpreter: this one may have numpy loaded by another test.
+    assert _loaded_by_cli_import(["numpy"]) == "[]\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # Both cost start-up time: inspect loads ast, dis and tokenize.
+    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == "[]\n"
