@@ -110,11 +110,11 @@ def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
 class EfficiencyCone(Record):
     """Convex cone of weight vectors whose dominance digraph contains a cycle.
 
-    The matrix and the cycle fix the cone; w is in it exactly when
-    ``build_digraph(matrix, w).has_cycle(cycle)``.  ``extremes``, built on
-    first read, holds the canonical extreme rays: all but one edge
-    inequality solved as equalities give one ray per omitted edge, in edge
-    order; at product <= 1 the omitted one holds and the rays span the cone.
+    Its matrix and cycle fix it, and its repr shows the cycle; w is in it
+    exactly when ``build_digraph(matrix, w).has_cycle(cycle)``.  The cached
+    ``extremes``, built on first read, are its canonical rays: solving all
+    but one edge inequality as equalities gives one ray per omitted edge, in
+    edge order; at product <= 1 the omitted one holds and they span the cone.
     """
 
     _fields = ("matrix", "cycle")

@@ -59,9 +59,9 @@ def proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
 class ReciprocalMatrix(Record):
     """Square positive matrix with unit diagonal and exact reciprocal symmetry.
 
-    ``_numerators[i][j]`` is the numerator of the reduced ``entries[i][j]``.
-    Reciprocity makes it the denominator of ``entries[j][i]`` as well, so
-    this one integer table lets edge and consistency tests run on integers.
+    ``_numerators[i][j]``, built here but not a field, is the numerator of
+    the reduced ``entries[i][j]`` and, by reciprocity, the denominator of
+    ``entries[j][i]``: one integer table for the edge and consistency tests.
     """
 
     _fields = ("entries",)
