@@ -9,18 +9,17 @@ set of extreme rays, 1 collapses the cone to a single ray, > 1 empties it.
 
 Everything about one cycle comes from a single chain of integer prefix
 products, read from the numerator table of the matrix: the product, its
-comparison with 1, and the extreme rays, which a cone builds on first
-read; below product 1, entry k of ``extremes`` is the ray that leaves
-edge k slack.  That ray is the same chain of prefix products scaled by the
-cycle product beyond position k, so the n rays are rotations of one chain
-and share 2n - 1 Fractions; no Fraction arithmetic decides anything.
+comparison with 1, its first largest entry, and the extreme rays, which a
+cone builds on first read; below product 1, entry k of ``extremes`` is the
+ray that leaves edge k slack.  That ray is the chain scaled by the cycle
+product beyond position k, so the n rays share 2n - 1 values and build
+2n - 4 Fractions (``_extremes``); no Fraction arithmetic decides anything.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Sequence
 
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, is_consistent
@@ -33,67 +32,64 @@ __all__ = [
     "resolve_unit_cycle",
 ]
 
+# Vertex 0 sits at position 0 of every cycle, so every ray starts at 1.
+_ONE = Fraction(1)
 
-def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int]]:
+
+def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int], int]:
     """Prefix products along ``cycle.order``, read from the integer table.
 
-    With e_t = r_t/s_t the entry on edge t, returns R and S with
+    With e_t = r_t/s_t the entry on edge t, returns R, S and k with
     R[t] = r_0*...*r_(t-1) and S[t] = s_0*...*s_(t-1) for t = 0..n, so the
-    prefix product is P_t = R[t]/S[t] and the cycle product is R[n]/S[n].
+    prefix product is P_t = R[t]/S[t] and the cycle product is R[n]/S[n];
+    e_k is the first largest entry, found by cross products.
     """
-    if cycle.n != a.n:
+    num, order = a._numerators, cycle.order
+    if len(order) != len(num):
         raise ValueError("cycle length does not match matrix dimension")
-    num = a._numerators
-    order = cycle.order
     R, S = [1], [1]
     r = s = 1
-    for src, dst in zip(order, order[1:] + order[:1]):
-        r *= num[src][dst]
-        s *= num[dst][src]
+    top, top_r, top_s = 0, 0, 1
+    src = order[0]
+    for t, dst in enumerate((*order[1:], src)):
+        x, y = num[src][dst], num[dst][src]
+        if x * top_s > top_r * y:
+            top, top_r, top_s = t, x, y
+        r *= x
+        s *= y
         R.append(r)
         S.append(s)
-    return R, S
+        src = dst
+    return R, S, top
 
 
-def _ray(order: Sequence[int], R: list[int], S: list[int], omit: int) -> tuple[list[int], list[int]]:
-    """The chain solution with edge ``omit`` left out, as unreduced p[v]/q[v].
-
-    Solving every other edge as an equality gives 1/P_j at cycle positions
-    j <= omit and Pi/P_j beyond, with Pi = R[n]/S[n].  Position 0 holds
-    vertex 0 with P_0 = 1, so the vector is already canonical.
-    """
-    n = len(order)
-    p, q = [0] * n, [0] * n
-    for j, v in enumerate(order):
-        if j <= omit:
-            p[v], q[v] = S[j], R[j]
-        else:
-            p[v], q[v] = R[n] * S[j], S[n] * R[j]
-    return p, q
-
-
-def _extremes(order: Sequence[int], R: list[int], S: list[int]) -> tuple[Vec, ...]:
+def _extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
     """All extreme rays, in the order of the omitted edge, from one chain.
 
     Position j of the ray omitting the last edge holds 1/P_j, and of the
     ray omitting edge 0, Pi/P_j.  The ray omitting edge k agrees with the
     first at positions j <= k and with the second beyond, so the n rays
-    share 2n - 1 Fractions.  They are pairwise distinct exactly when the cycle
-    product differs from 1; at product 1 they all coincide.
+    share 2n - 1 values.  Three need no new Fraction: 1/P_0 = 1, and
+    1/P_1 = 1/e_0 and Pi/P_(n-1) = e_(n-1) are entries of column 0.  The
+    rays are pairwise distinct exactly when the cycle product differs from 1;
+    at product 1 they all coincide.
     """
+    R, S, _ = _chain(a, cycle)
+    order, entries = cycle.order, a.entries
     n = len(order)
     r, s = R[n], S[n]
     if r > s:
         raise ValueError("cycle product exceeds 1; the cone is empty")
-    inverse = list(map(Fraction, S[:n], R[:n]))  # by position
+    inverse = [_ONE, entries[order[1]][0], *map(Fraction, S[2:n], R[2:n])]  # by position
     w = [None] * n  # by vertex
     if r == s:
         for v, x in zip(order, inverse):
             w[v] = x
         return (tuple(w),)
     # Position 0 is set from ``inverse`` before the first ray is taken.
-    for j in range(1, n):
+    for j in range(1, n - 1):
         w[order[j]] = Fraction(r * S[j], s * R[j])
+    w[order[-1]] = entries[order[-1]][0]
     rays = []
     for v, x in zip(order, inverse):
         w[v] = x
@@ -103,7 +99,7 @@ def _extremes(order: Sequence[int], R: list[int], S: list[int]) -> tuple[Vec, ..
 
 def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     """Product of the matrix entries along the cycle."""
-    R, S = _chain(a, cycle)
+    R, S, _ = _chain(a, cycle)
     return Fraction(R[-1], S[-1])
 
 
@@ -136,7 +132,7 @@ class EfficiencyCone(Record):
 
     @functools.cached_property
     def extremes(self) -> tuple[Vec, ...]:
-        return _extremes(self.cycle.order, *_chain(self.matrix, self.cycle))
+        return _extremes(self.matrix, self.cycle)
 
 
 def efficiency_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> EfficiencyCone:

@@ -191,8 +191,8 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "cones": [
             {
                 "cycle": cycle_to_json(cone.cycle),
-                "product": format_rational(cone.product),
-                "singleton": cone.singleton,
+                "product": format_rational(product := cone.product),
+                "singleton": product == 1,
                 "extremes": [_vector_to_json(ray) for ray in cone.extremes],
             }
             for cone in d.cones

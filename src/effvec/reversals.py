@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import _chain, _ray
+from .cones import _ONE, _chain
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 from .records import Record
@@ -87,23 +87,27 @@ def count_reversals(
 def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, int]:
     """Efficient vector from ``cycle``'s cone minimizing reversals along it.
 
-    Rotates the cycle so its largest entry becomes the one inequality left
-    slack, then solves the remaining edges as equalities.  The cycle-local
-    reversal count is 0 exactly when some entry along the cycle exceeds 1 or
-    the cycle product equals 1; otherwise it is 1, and no vector of the cone
-    does better.
+    It is the cone's extreme ray that leaves the cycle's first largest entry
+    e_k slack, built alone: position j holds 1/P_j up to k and Pi/P_j beyond.
+    The cycle-local reversal count is 0 exactly when some entry along the
+    cycle exceeds 1 or the cycle product equals 1; otherwise it is 1, and no
+    vector of the cone does better.
     """
-    R, S = _chain(a, cycle)
-    if R[-1] > S[-1]:
+    R, S, top = _chain(a, cycle)
+    order, entries = cycle.order, a.entries
+    n = len(order)
+    r, s = R[n], S[n]
+    if r > s:
         raise ValueError("cycle product exceeds 1; the cone is empty")
-    # The first largest entry r_t/s_t along the cycle, by cross products.
-    num, order = a._numerators, cycle.order
-    after = order[1:] + order[:1]
-    edges = [(num[i][j], num[j][i]) for i, j in zip(order, after)]
-    wrap = 0
-    for t, (r, s) in enumerate(edges):
-        if r * edges[wrap][1] > edges[wrap][0] * s:
-            wrap = t
-    p, q = _ray(order, R, S, wrap)
-    r, s = edges[wrap]
-    return tuple(map(Fraction, p, q)), int(r <= s and R[-1] < S[-1])
+    w = [_ONE] * n  # by vertex
+    for j in range(2, top + 1):
+        w[order[j]] = Fraction(S[j], R[j])
+    for j in range(top + 1, n - 1):
+        w[order[j]] = Fraction(r * S[j], s * R[j])
+    # 1/P_1 = 1/e_0 and Pi/P_(n-1) = e_(n-1) are entries of column 0.
+    if top:
+        w[order[1]] = entries[order[1]][0]
+    if top < n - 1:
+        w[order[-1]] = entries[order[-1]][0]
+    num, u, v = a._numerators, order[top], order[(top + 1) % n]
+    return tuple(w), int(r < s and num[u][v] <= num[v][u])

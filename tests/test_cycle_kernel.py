@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effvec import (
+    EfficiencyCone,
     HamiltonianCycle,
     ReciprocalMatrix,
     count_reversals,
@@ -65,6 +66,12 @@ def check_every_cycle(a: ReciprocalMatrix) -> dict[str, int]:
         assert cone.singleton == (product == 1)
         vec, along = min_reversal_vector(a, cycle)
         assert (vec, along) == min_reversal_vector_reference(a, cycle)
+        # It is the ray leaving the first largest entry slack, the only ray at product 1.
+        entries = [a.entries[i][j] for i, j in cycle.edges()]
+        slack = entries.index(max(entries)) if product < 1 else 0
+        assert vec == cone.extremes[slack]
+        assert all(type(x) is Fraction for x in vec)
+        assert all(type(x) is Fraction for ray in cone.extremes for x in ray)
         for w in (vec, a.column(0), tuple(Fraction(1) for _ in range(a.n))):
             report = count_reversals(a, w, cycle)
             assert (report.pairs, report.along_cycle) == count_reversals_reference(a, w, cycle)
@@ -76,6 +83,20 @@ def check_every_cycle(a: ReciprocalMatrix) -> dict[str, int]:
             unit.append(cycle)
     assert enumerate_cycles(a) == (tuple(below), tuple(unit))
     return seen
+
+
+def test_cycle_length_must_match_matrix():
+    a = generate("random", 4, seed=0)
+    cycle = HamiltonianCycle((0, 1, 2))
+    calls = (
+        lambda: min_reversal_vector(a, cycle),
+        lambda: cycle_product(a, cycle),
+        lambda: efficiency_cone(a, cycle).extremes,
+        lambda: EfficiencyCone(a, cycle).extremes,
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^cycle length does not match matrix dimension$"):
+            call()
 
 
 def test_every_generator_kind_up_to_six():
