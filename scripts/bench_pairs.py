@@ -11,7 +11,11 @@ committed files and the working tree is left alone.  Pair k runs
 + k; odd seeds run the parent first, even seeds the change first.  Runs go
 one at a time.  The output JSON holds ``what``, ``host``, ``summary`` and
 ``runs``, and is rewritten after every run, so an interrupted session keeps
-the pairs it finished.
+the pairs it finished.  With ``--key confirm`` the same object is written
+under the ``confirm`` key of the BENCH file already at ``--out``, for
+pairs on seeds not used while building, and the rest of that file is kept:
+
+    python3 scripts/bench_pairs.py PARENT --workload rank --pairs 4 --first-seed 11 --key confirm --out BENCH_11.json
 
 For each workload and each end-to-end metric of ``BENCHMARK.json``, the
 summary gives the median and quartiles of either side, the ratio of the
@@ -47,7 +51,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--note", default="", help="appended to the 'what' line: what the change does")
-    return parser.parse_args(argv)
+    parser.add_argument(
+        "--key", choices=("confirm",), help="write under this key of the existing --out file, keeping the rest"
+    )
+    args = parser.parse_args(argv)
+    if args.key and not args.out.is_file():
+        parser.error(f"--key {args.key} needs an existing BENCH file at --out, not {args.out}")
+    return args
 
 
 def _rev(rev: str) -> str:
@@ -90,6 +100,14 @@ def _quartiles(values: list[float]) -> list[float]:
         return [values[0], values[0]] if values else []
     low, _, high = statistics.quantiles(values, n=4)
     return [round(low, 4), round(high, 4)]
+
+
+def record(path: Path, result: dict, key: str | None = None) -> None:
+    """Write ``result`` to ``path``; with ``key``, under that key of the JSON
+    object already there, whose other keys stay as they are."""
+    if key is not None:
+        result = {**json.loads(path.read_text()), key: result}
+    path.write_text(json.dumps(result, indent=1) + "\n")
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -162,7 +180,7 @@ def main(argv=None) -> int:
                     runs.append({"workload": workload, "seed": seed, "side": side, "result": result})
                     print(f"{workload} seed {seed} {side}: {json.dumps(result.get('metrics', result))}", flush=True)
                     out = {"what": what, "host": host, "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
-                    args.out.write_text(json.dumps(out, indent=1) + "\n")
+                    record(args.out, out, args.key)
     return 0
 
 

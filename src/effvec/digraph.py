@@ -9,11 +9,14 @@ w is efficient (no other vector weakly improves every entrywise deviation
 from A, strictly somewhere) precisely when this digraph is strongly
 connected, equivalently when it carries a Hamiltonian cycle.  w lies in
 the efficiency cone of a cycle C exactly when its digraph has C.  Both
-witnesses are direct constructions on a semi-complete digraph: the strong
-components come from the score sequence, the cycle from path insertion.
+witnesses are direct constructions on one Hamiltonian path, built by
+insertion: in a semi-complete digraph the strong components are runs of
+that path, and when there is one run the path grows into the cycle.
 When w is inefficient, the source component is the cut of the certificate,
 and scaling it down until a crossing pair turns tight gives a dominating
 vector; ``improve`` repeats that until the vector is efficient.
+``is_efficient`` builds no digraph: it reads edges from a memoised oracle,
+so it compares only the pairs its certificate reads.
 
 Matrices and vectors stay ``Fraction`` at the interface.  Inside, each edge
 test clears denominators and compares integer products, using the integer
@@ -23,13 +26,16 @@ Fraction arithmetic and no float takes part.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from fractions import Fraction
 
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 from .records import Record
+
+Edge = Callable[[int, int], bool]
 
 __all__ = [
     "DominanceDigraph",
@@ -145,13 +151,15 @@ class EfficiencyCertificate(Record):
         object.__setattr__(self, "cut", cut)
 
 
-def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigraph:
-    """Exact dominance digraph of (a, w); ties yield edges in both directions.
+def _edge_oracle(a: ReciprocalMatrix, w: Sequence[Fraction]) -> tuple[list[list[bool | None]], Edge]:
+    """The edge test of the dominance digraph of (a, w), one pair at a time.
 
+    Returns ``(table, edge)``.  ``edge(i, j)`` is the edge i -> j; the
+    first query of a pair decides both of its edges into ``table``, where
+    an undecided pair reads None, so no pair's products are computed twice.
     With w_i = p_i/q_i and a_ij = r_ij/s_ij, the edge i -> j holds exactly
-    when p_i*q_j*s_ij >= r_ij*p_j*q_i.  Reciprocity (a_ji = s_ij/r_ij) makes
-    the edge j -> i the reverse comparison of the same two products, so one
-    pair of products decides both edges.
+    when p_i*q_j*s_ij >= r_ij*p_j*q_i.  Reciprocity (a_ji = s_ij/r_ij)
+    makes the edge j -> i the reverse comparison of the same two products.
     """
     vec: Vec = as_weight_vector(w)
     n = a.n
@@ -160,15 +168,29 @@ def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigrap
     p = [v.numerator for v in vec]
     q = [v.denominator for v in vec]
     num = a._numerators
-    adj = [[True] * n for _ in range(n)]
-    for i in range(n):
-        r, pi, qi, row = num[i], p[i], q[i], adj[i]
-        for j in range(i + 1, n):
-            forward = pi * q[j] * num[j][i]
-            backward = r[j] * p[j] * qi
-            row[j] = forward >= backward
-            adj[j][i] = backward >= forward
-    return DominanceDigraph._unchecked(tuple(map(tuple, adj)))
+    table: list[list[bool | None]] = [[None] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        row[i] = True
+
+    def edge(i: int, j: int) -> bool:
+        known = table[i][j]
+        if known is None:
+            forward = p[i] * q[j] * num[j][i]
+            backward = num[i][j] * p[j] * q[i]
+            known = table[i][j] = forward >= backward
+            table[j][i] = backward >= forward
+        return known
+
+    return table, edge
+
+
+def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigraph:
+    """Exact dominance digraph of (a, w), every pair decided by
+    ``_edge_oracle``; ties yield edges in both directions."""
+    table, edge = _edge_oracle(a, w)
+    for i, j in itertools.combinations(range(len(table)), 2):
+        edge(i, j)
+    return DominanceDigraph._unchecked(tuple(map(tuple, table)))
 
 
 def common_digraph(
@@ -183,66 +205,74 @@ def common_digraph(
     return shared
 
 
-def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Strong components of a semi-complete digraph, in topological order.
-
-    g is semi-complete, as the ``DominanceDigraph`` constructor checks and
-    every digraph from ``build_digraph`` is.  Then
-    ``out(v) - in(v) + n - 1`` is twice the score of v, counting a win as 1
-    and a tie as 1/2.  A source set (no edge enters it) of size k holds
-    exactly the k top scorers, and the top k are a source set exactly when
-    their doubled scores sum to ``k(k-1) + 2k(n-k)`` (Landau's score
-    characterisation), so the components are the gaps between such
-    prefixes of the descending order.
-    """
-    adj = g.adjacency
-    n = len(adj)
-    excess = [row.count(True) - col.count(True) for row, col in zip(adj, zip(*adj))]
-    order = sorted(range(n), key=excess.__getitem__, reverse=True)
-    components: list[tuple[int, ...]] = []
-    start = total = 0
-    for k, v in enumerate(order, 1):
-        total += excess[v] + n - 1
-        if total == k * (k - 1) + 2 * k * (n - k):
-            components.append(tuple(sorted(order[start:k])))
-            start = k
-    return len(components) == 1, tuple(components)
-
-
-def _hamiltonian_path(g: DominanceDigraph) -> list[int]:
+def _hamiltonian_path(edge: Edge, n: int) -> list[int]:
     """Insertion construction of a Hamiltonian path; valid in any semi-complete digraph."""
     path = [0]
-    for u in range(1, g.n):
-        if g.has_edge(path[-1], u):
+    for u in range(1, n):
+        if edge(path[-1], u):
             path.append(u)
             continue
-        if g.has_edge(u, path[0]):
+        if edge(u, path[0]):
             path.insert(0, u)
             continue
         # First position whose occupant u beats; its predecessor beats u.
         for t in range(1, len(path)):
-            if g.has_edge(u, path[t]):
+            if edge(u, path[t]):
                 path.insert(t, u)
                 break
     return path
 
 
-def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
-    """Hamiltonian cycle of a strongly connected semi-complete digraph.
+def _component_ends(edge: Edge, path: list[int]) -> Iterator[int]:
+    """Last path index of each strong component, in topological order.
 
-    Builds a Hamiltonian path by insertion, closes its longest closable
-    prefix into a cycle, then grows the cycle one splice at a time.  Runs in
-    polynomial time; never enumerates permutations.  Every step uses only
-    edges of g, so the construction completes exactly when g is strongly
-    connected; otherwise it gets stuck and raises ValueError.
+    In a semi-complete digraph the strong components are consecutive runs
+    of any Hamiltonian path.  The run from ``start`` grows to the farthest
+    later vertex with an edge back into it, since the path leads forward to
+    that vertex and the edge closes a cycle; the run is a component once no
+    later vertex has an edge into it.  Each pair is read at most once.
     """
-    not_strong = "digraph is not strongly connected; no Hamiltonian cycle exists"
-    path = _hamiltonian_path(g)
-    n = g.n
+    n = len(path)
+    start = 0
+    while start < n:
+        end = s = start
+        while s <= end:
+            v = path[s]
+            for t in range(n - 1, end, -1):
+                if edge(path[t], v):
+                    end = t
+                    break
+            s += 1
+        yield end
+        start = end + 1
 
-    close_at = max((t for t in range(1, n) if g.has_edge(path[t], path[0])), default=0)
-    if close_at == 0:
-        raise ValueError(not_strong)
+
+def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """Strong components of a semi-complete digraph, in topological order.
+
+    g is semi-complete, as the ``DominanceDigraph`` constructor checks and
+    every digraph from ``build_digraph`` is, so the components are runs of
+    the insertion path (``_component_ends``).
+    """
+    path = _hamiltonian_path(g.has_edge, g.n)
+    components: list[tuple[int, ...]] = []
+    start = 0
+    for end in _component_ends(g.has_edge, path):
+        components.append(tuple(sorted(path[start : end + 1])))
+        start = end + 1
+    return len(components) == 1, tuple(components)
+
+
+def _grow_cycle(edge: Edge, path: list[int]) -> HamiltonianCycle:
+    """Hamiltonian cycle from the Hamiltonian path of a strongly connected
+    semi-complete digraph.
+
+    Closes the path's longest closable prefix into a cycle, then grows the
+    cycle one splice at a time.  Runs in polynomial time; never enumerates
+    permutations.
+    """
+    n = len(path)
+    close_at = next(t for t in range(n - 1, 0, -1) if edge(path[t], path[0]))
     cycle = path[: close_at + 1]
     remaining = path[close_at + 1 :]
 
@@ -251,7 +281,7 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
         for u in sorted(remaining):
             k = len(cycle)
             for t in range(k):
-                if g.has_edge(cycle[t], u) and g.has_edge(u, cycle[(t + 1) % k]):
+                if edge(cycle[t], u) and edge(u, cycle[(t + 1) % k]):
                     cycle.insert(t + 1, u)
                     remaining.remove(u)
                     inserted = True
@@ -261,19 +291,10 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
         if inserted:
             continue
         # No vertex slots in, so each remaining vertex either beats the whole
-        # cycle or loses to it; only strong connectivity forces a bridge pair.
-        beats = [u for u in remaining if g.has_edge(u, cycle[0])]
+        # cycle or loses to it; strong connectivity forces a bridge pair.
+        beats = [u for u in remaining if edge(u, cycle[0])]
         loses = [u for u in remaining if u not in beats]
-        bridge = None
-        for b in sorted(loses):
-            for a in sorted(beats):
-                if g.has_edge(b, a):
-                    bridge = (b, a)
-                    break
-            if bridge:
-                break
-        if bridge is None:
-            raise ValueError(not_strong)
+        bridge = next((b, a) for b in sorted(loses) for a in sorted(beats) if edge(b, a))
         cycle.extend(bridge)
         remaining.remove(bridge[0])
         remaining.remove(bridge[1])
@@ -281,13 +302,35 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
     return HamiltonianCycle.from_vertices(cycle)
 
 
+def _certificate(edge: Edge, n: int) -> EfficiencyCertificate:
+    """Both witnesses from one insertion path: its first run is the source
+    component, the cut when it is not all n vertices, and otherwise the path
+    grows into a Hamiltonian cycle."""
+    path = _hamiltonian_path(edge, n)
+    end = next(_component_ends(edge, path))
+    if end < n - 1:
+        return EfficiencyCertificate(efficient=False, cut=tuple(sorted(path[: end + 1])))
+    return EfficiencyCertificate(efficient=True, cycle=_grow_cycle(edge, path))
+
+
+def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
+    """Hamiltonian cycle of a strongly connected semi-complete digraph.
+
+    Raises ValueError when g is not strongly connected, so has none.
+    """
+    certificate = _certificate(g.has_edge, g.n)
+    if not certificate.efficient:
+        raise ValueError("digraph is not strongly connected; no Hamiltonian cycle exists")
+    return certificate.cycle
+
+
 def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertificate:
-    """Decide efficiency of w for a, with a cycle or cut witness."""
-    g = build_digraph(a, w)
-    strong, components = strongly_connected(g)
-    if strong:
-        return EfficiencyCertificate(efficient=True, cycle=find_hamiltonian_cycle(g))
-    return EfficiencyCertificate(efficient=False, cut=components[0])
+    """Decide efficiency of w for a, with a cycle or cut witness.
+
+    Builds no digraph: the certificate reads edges from ``_edge_oracle``,
+    so only the pairs it needs are compared.
+    """
+    return _certificate(_edge_oracle(a, w)[1], a.n)
 
 
 def improve(a: ReciprocalMatrix, w: Sequence[Fraction]) -> Vec | None:

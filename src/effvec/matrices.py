@@ -79,6 +79,9 @@ class ReciprocalMatrix(Record):
                     raise TypeError("matrix entries must be Fractions")
                 if value.numerator <= 0:
                     raise ValueError(f"entry ({i},{j}) is not positive")
+        if any(type(value) is not Fraction for row in entries for value in row):
+            # Rays and minimum-reversal vectors reuse entries: keep them plain.
+            entries = tuple(tuple(map(Fraction, row)) for row in entries)
         num = tuple(tuple(value.numerator for value in row) for row in entries)
         for i in range(n):
             if num[i][i] != 1 or entries[i][i].denominator != 1:

@@ -302,14 +302,16 @@ def check_convexity_report(a: ReciprocalMatrix, report) -> None:
     assert kosaraju_reference(SimpleNamespace(n=n, adjacency=adjacency))[0]
 
 
-# --- graph-search reference for the score-sequence components ---------------
+# --- graph-search reference for the strong components ------------------------
 
 
 def kosaraju_reference(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Kosaraju SCC pass on any digraph; components in topological order.
 
-    Reference for ``strongly_connected``: a general graph search that, unlike
-    the score-sequence scan, does not need the digraph to be semi-complete.
+    Reference for ``strongly_connected`` and for the cut of ``is_efficient``:
+    a general graph search over the full adjacency that, unlike the runs of
+    the insertion path both read, does not need the digraph to be
+    semi-complete.
     """
     n = g.n
     adj = g.adjacency

@@ -1,6 +1,8 @@
-"""The summary of scripts/bench_pairs.py, on synthetic runs (no subprocess)."""
+"""The summary and the BENCH file of scripts/bench_pairs.py, on synthetic
+runs (no subprocess)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -79,3 +81,25 @@ def test_few_runs(count):
     ops = bench_pairs.summarize(runs, METRICS)["rank"]["ops_per_s"]
     assert ops["pairs"] == count
     assert len(ops["parent_quartiles"]) == 2
+
+
+def test_confirm_key_keeps_the_rest_of_the_file(tmp_path):
+    path = tmp_path / "BENCH.json"
+    main = {"what": "ten pairs", "host": "h", "summary": {"rank": {}}, "runs": [1, 2]}
+    bench_pairs.record(path, main)
+    assert json.loads(path.read_text()) == main
+    for runs in ([3], [3, 4]):
+        confirm = {"what": "confirm pairs", "host": "h", "summary": {}, "runs": runs}
+        bench_pairs.record(path, confirm, "confirm")
+        assert json.loads(path.read_text()) == {**main, "confirm": confirm}
+
+
+def test_confirm_key_needs_an_existing_file(tmp_path):
+    args = ["HEAD~1", "--key", "confirm", "--out"]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(args + [str(tmp_path / "missing.json")])
+    path = tmp_path / "BENCH.json"
+    path.write_text("{}")
+    assert bench_pairs.parse_args(args + [str(path)]).key == "confirm"
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["HEAD~1", "--key", "other", "--out", str(path)])

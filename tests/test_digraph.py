@@ -8,9 +8,12 @@ import pytest
 import effvec.digraph
 from effvec import (
     DominanceDigraph,
+    EfficiencyCertificate,
     HamiltonianCycle,
+    ReciprocalMatrix,
     build_digraph,
     common_digraph,
+    consistent_matrix,
     exhaustive_hamiltonian,
     find_hamiltonian_cycle,
     generate,
@@ -61,7 +64,7 @@ class TestDominanceDigraph:
     @pytest.mark.parametrize(
         "adjacency",
         [
-            # Empty 3-vertex digraph: the score scan would read one component.
+            # Empty 3-vertex digraph: path insertion would drop vertices.
             ((False,) * 3,) * 3,
             ((True, False), (False, True)),
             ((True, True), (True,)),
@@ -167,8 +170,8 @@ class TestStrongConnectivity:
 
 
     def test_matches_kosaraju_on_every_semicomplete_digraph_up_to_five(self):
-        # The score scan must return the graph search's components, in the
-        # same topological order, ties (2-cycles) included.
+        # The runs of the insertion path must be the graph search's
+        # components, in the same topological order, ties (2-cycles) included.
         counted = 0
         for n in (2, 3, 4, 5):
             for g in semicomplete_digraphs(n):
@@ -207,8 +210,8 @@ class TestFindHamiltonianCycle:
             find_hamiltonian_cycle(g)
 
     def test_every_semicomplete_digraph_up_to_four(self):
-        # The construction runs no SCC pass of its own: it must return a
-        # valid cycle on every strong digraph and raise on every other one.
+        # The construction must return a valid cycle on every strong
+        # digraph and raise on every other one.
         # Each pair is an edge one way, the other way, or both ways.
         seen = {True: 0, False: 0}
         for n in (2, 3, 4):
@@ -269,18 +272,126 @@ class TestIsEfficient:
             is_efficient(consistent3, fractions(1, 1, 1, 1))
 
     def test_one_scc_pass_per_certificate(self, monkeypatch, circulant4, double4):
+        # The single component pass is the run scan over the insertion path.
         calls = []
+        component_ends = effvec.digraph._component_ends
 
-        def counting(g):
-            calls.append(g)
-            return strongly_connected(g)
+        def counting(edge, path):
+            calls.append(path)
+            return component_ends(edge, path)
 
-        monkeypatch.setattr(effvec.digraph, "strongly_connected", counting)
+        monkeypatch.setattr(effvec.digraph, "_component_ends", counting)
         cases = [(circulant4, circulant4.column(0), True), (double4, fractions(2, 4, 5, 4), False)]
         for a, w, efficient in cases:
             calls.clear()
             assert is_efficient(a, w).efficient is efficient
             assert len(calls) == 1
+
+
+def column_perturbed(rng: random.Random, n: int):
+    """A consistent matrix with one whole column disturbed, at any n
+    (``generate`` draws distinct factors, so stops at n = 55)."""
+    base = consistent_matrix(random_weight_vector(rng, n))
+    rows = [list(row) for row in base.entries]
+    c = rng.randrange(n)
+    off_unit = [Fraction(p, q) for p in range(1, 10) for q in range(1, 10) if p != q]
+    for i in range(n):
+        if i != c:
+            rows[i][c] *= rng.choice(off_unit)
+            rows[c][i] = 1 / rows[i][c]
+    return ReciprocalMatrix(tuple(map(tuple, rows)))
+
+
+def vector_kinds(rng: random.Random, a):
+    """(kind, vector, closed) for the five vector kinds; ``closed`` is the
+    subset no edge enters, for the subset-scaled kind, else None."""
+    n = a.n
+    column = a.column(rng.randrange(n))
+    yield "column", column, None
+    yield "palette", random_weight_vector(rng, n), None
+    yield "float", tuple(Fraction(float(x) * rng.uniform(0.5, 2.0)) for x in column), None
+    subset = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
+    # Entries and palette ratios stay below 2**20, so no edge enters the subset.
+    scaled = tuple(x * 2**40 if i in subset else x for i, x in enumerate(random_weight_vector(rng, n)))
+    yield "scaled", scaled, subset
+    yield "noisy", tuple(x * Fraction(rng.randint(90, 110), 100) for x in column), None
+
+
+def reference_certificate(a, w) -> EfficiencyCertificate:
+    """The certificate from the full table: every pair compared, components
+    from a general graph search."""
+    g = build_digraph(a, w)
+    strong, components = kosaraju_reference(g)
+    if strong:
+        return EfficiencyCertificate(efficient=True, cycle=find_hamiltonian_cycle(g))
+    return EfficiencyCertificate(efficient=False, cut=components[0])
+
+
+def noisy_column_150():
+    """A +-10% noisy column vector on a column-perturbed n = 150 matrix: the
+    input whose cycle growth repeats the most edge queries."""
+    rng = random.Random(150)
+    a = column_perturbed(rng, 150)
+    column = a.column(rng.randrange(150))
+    return a, tuple(x * Fraction(rng.randint(90, 110), 100) for x in column)
+
+
+class TestEdgeOracle:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_table_reference(self, kind):
+        rng = random.Random(f"oracle:{kind}")
+        seen = {True: 0, False: 0}
+        for seed, n in enumerate((3, 4, 5, 6, 7, 9, 12, 16, 20, 27, 33, 40)):
+            a = generate(kind, n, seed=seed)
+            for _, w, closed in vector_kinds(rng, a):
+                cert = is_efficient(a, w)
+                assert cert == reference_certificate(a, w)
+                seen[cert.efficient] += 1
+                if closed is not None:
+                    assert not cert.efficient and set(cert.cut) <= closed
+        assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_table_reference_at_150(self, kind):
+        rng = random.Random(f"oracle-150:{kind}")
+        a = column_perturbed(rng, 150) if kind == "column" else generate(kind, 150, seed=1)
+        for _, w, closed in vector_kinds(rng, a):
+            cert = is_efficient(a, w)
+            assert cert == reference_certificate(a, w)
+            if closed is not None:
+                assert not cert.efficient and set(cert.cut) <= closed
+
+    def test_builds_no_digraph(self, monkeypatch, double4):
+        cases = [(double4, double4.column(1)), (double4, fractions(2, 4, 5, 4))]
+        expected = [reference_certificate(a, w) for a, w in cases]
+        assert [c.efficient for c in expected] == [True, False]
+
+        def refuse(*args):
+            raise AssertionError("is_efficient built a digraph")
+
+        monkeypatch.setattr(effvec.digraph, "build_digraph", refuse)
+        monkeypatch.setattr(effvec.digraph.DominanceDigraph, "_unchecked", refuse)
+        assert [is_efficient(a, w) for a, w in cases] == expected
+
+    def test_each_pair_compared_at_most_once(self, monkeypatch):
+        a, w = noisy_column_150()
+        expected = reference_certificate(a, w)
+        products = []
+        oracle = effvec.digraph._edge_oracle
+
+        def counting(a, w):
+            table, edge = oracle(a, w)
+
+            def counted(i, j):
+                if table[i][j] is None:
+                    products.append(frozenset((i, j)))
+                return edge(i, j)
+
+            return table, counted
+
+        monkeypatch.setattr(effvec.digraph, "_edge_oracle", counting)
+        assert is_efficient(a, w) == expected
+        assert len(products) == len(set(products)) <= 150 * 149 // 2
 
 
 class TestExhaustiveOracle:

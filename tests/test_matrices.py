@@ -9,7 +9,10 @@ from effvec import (
     ReciprocalMatrix,
     as_weight_vector,
     consistent_matrix,
+    efficiency_cone,
+    enumerate_cycles,
     is_consistent,
+    min_reversal_vector,
     monomial_similarity,
     normalize,
     proportional,
@@ -59,6 +62,22 @@ class TestReciprocalMatrix:
     def test_validates_positive(self):
         with pytest.raises(ValueError):
             matrix_of([[1, -2], [Fraction(-1, 2), 1]])
+
+    def test_fraction_subclass_entries_become_plain(self):
+        # Rays and minimum-reversal vectors reuse column-0 entries, so a
+        # subclass kept in the matrix would leak into them.
+        class F(Fraction):
+            pass
+
+        rows = [[1, 2, Fraction(1, 3)], [Fraction(1, 2), 1, 5], [3, Fraction(1, 5), 1]]
+        a = ReciprocalMatrix(tuple(tuple(F(x) for x in row) for row in rows))
+        assert a == matrix_of(rows)
+        assert all(type(x) is Fraction for row in a.entries for x in row)
+        below, unit = enumerate_cycles(a)
+        assert len(below) == 1 and not unit
+        for cycle in below:
+            assert all(type(x) is Fraction for ray in efficiency_cone(a, cycle).extremes for x in ray)
+            assert all(type(x) is Fraction for x in min_reversal_vector(a, cycle)[0])
 
     def test_column(self, circulant4):
         assert circulant4.column(0) == fractions(1, "1/2", 1, 2)
