@@ -343,9 +343,9 @@ class TestEdgeOracle:
         seen = {True: 0, False: 0}
         for seed, n in enumerate((3, 4, 5, 6, 7, 9, 12, 16, 20, 27, 33, 40)):
             a = generate(kind, n, seed=seed)
-            for _, w, closed in vector_kinds(rng, a):
+            for vector, w, closed in vector_kinds(rng, a):
                 cert = is_efficient(a, w)
-                assert cert == reference_certificate(a, w)
+                assert cert == reference_certificate(a, w), (n, vector)
                 seen[cert.efficient] += 1
                 if closed is not None:
                     assert not cert.efficient and set(cert.cut) <= closed
@@ -355,9 +355,9 @@ class TestEdgeOracle:
     def test_matches_full_table_reference_at_150(self, kind):
         rng = random.Random(f"oracle-150:{kind}")
         a = column_perturbed(rng, 150) if kind == "column" else generate(kind, 150, seed=1)
-        for _, w, closed in vector_kinds(rng, a):
+        for vector, w, closed in vector_kinds(rng, a):
             cert = is_efficient(a, w)
-            assert cert == reference_certificate(a, w)
+            assert cert == reference_certificate(a, w), vector
             if closed is not None:
                 assert not cert.efficient and set(cert.cut) <= closed
 
