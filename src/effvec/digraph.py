@@ -16,7 +16,10 @@ When w is inefficient, the source component is the cut of the certificate,
 and scaling it down until a crossing pair turns tight gives a dominating
 vector; ``improve`` repeats that until the vector is efficient.
 ``is_efficient`` builds no digraph: it reads edges from a memoised oracle,
-so it compares only the pairs its certificate reads.
+so it compares only the pairs its certificate reads.  The path places each
+new vertex with the oracle's scan, which compares it with the path in
+order and stops at the first vertex it beats; ``build_digraph`` fills each
+row of its table with the same scan.
 
 Matrices and vectors stay ``Fraction`` at the interface.  Inside, each edge
 test clears denominators and compares integer products, using the integer
@@ -26,7 +29,6 @@ Fraction arithmetic and no float takes part.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -36,6 +38,9 @@ from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 from .records import Record
 
 Edge = Callable[[int, int], bool]
+# scan(u, vertices): index of the first of ``vertices`` that u has an edge to,
+# or len(vertices).
+Scan = Callable[[int, Sequence[int]], int]
 
 __all__ = [
     "DominanceDigraph",
@@ -124,6 +129,12 @@ class DominanceDigraph(Record):
     def has_edge(self, i: int, j: int) -> bool:
         return self.adjacency[i][j]
 
+    def _scan(self, u: int, vertices: Sequence[int]) -> int:
+        """Index of the first of ``vertices`` that u has an edge to, or
+        len(vertices): the ``Scan`` of this digraph's adjacency rows."""
+        row = self.adjacency[u]
+        return next((t for t, v in enumerate(vertices) if row[v]), len(vertices))
+
     def has_cycle(self, cycle: HamiltonianCycle) -> bool:
         """Whether every edge of ``cycle`` is an edge here: for the digraph of
         (a, w), whether w lies in the efficiency cone of ``cycle``."""
@@ -151,15 +162,27 @@ class EfficiencyCertificate(Record):
         object.__setattr__(self, "cut", cut)
 
 
-def _edge_oracle(a: ReciprocalMatrix, w: Sequence[Fraction]) -> tuple[list[list[bool | None]], Edge]:
+def _edge_oracle(
+    a: ReciprocalMatrix, w: Sequence[Fraction]
+) -> tuple[list[list[bool | None]], Edge, Scan]:
     """The edge test of the dominance digraph of (a, w), one pair at a time.
 
-    Returns ``(table, edge)``.  ``edge(i, j)`` is the edge i -> j; the
-    first query of a pair decides both of its edges into ``table``, where
-    an undecided pair reads None, so no pair's products are computed twice.
-    With w_i = p_i/q_i and a_ij = r_ij/s_ij, the edge i -> j holds exactly
-    when p_i*q_j*s_ij >= r_ij*p_j*q_i.  Reciprocity (a_ji = s_ij/r_ij)
-    makes the edge j -> i the reverse comparison of the same two products.
+    Returns ``(table, edge, scan)``; ``table[i][j]`` is the edge i -> j,
+    None while the pair is undecided.  With w_i = p_i/q_i and
+    a_ij = r_ij/s_ij, the edge i -> j holds exactly when
+    p_i*q_j*s_ij >= r_ij*p_j*q_i.  Reciprocity (a_ji = s_ij/r_ij) makes the
+    edge j -> i the reverse comparison of the same two products, so each
+    comparison decides both entries of its pair.
+
+    ``edge(i, j)`` is one table read, and compares the pair on its first
+    query.  ``scan(u, vertices)`` is the row comparison: it compares u
+    with ``vertices`` in order, the test written inline, and records both
+    entries of each pair.  It returns the index of the first vertex u has
+    an edge to (u beats it, or ties), comparing no further, or
+    len(vertices) when there is none; with ``stop`` false it compares
+    every vertex and returns len(vertices).  It reads no table entry, so
+    callers pass only vertices whose pair with u is undecided; then no
+    pair's products are computed twice.
     """
     vec: Vec = as_weight_vector(w)
     n = a.n
@@ -172,6 +195,21 @@ def _edge_oracle(a: ReciprocalMatrix, w: Sequence[Fraction]) -> tuple[list[list[
     for i, row in enumerate(table):
         row[i] = True
 
+    def scan(u: int, vertices: Sequence[int], stop: bool = True) -> int:
+        p_u, q_u, num_u, table_u = p[u], q[u], num[u], table[u]
+        for t, v in enumerate(vertices):
+            forward = p_u * q[v] * num[v][u]
+            backward = num_u[v] * p[v] * q_u
+            if forward >= backward:
+                table_u[v] = True
+                table[v][u] = forward == backward
+                if stop:
+                    return t
+            else:
+                table_u[v] = False
+                table[v][u] = True
+        return len(vertices)
+
     def edge(i: int, j: int) -> bool:
         known = table[i][j]
         if known is None:
@@ -181,15 +219,17 @@ def _edge_oracle(a: ReciprocalMatrix, w: Sequence[Fraction]) -> tuple[list[list[
             table[j][i] = backward >= forward
         return known
 
-    return table, edge
+    return table, edge, scan
 
 
 def build_digraph(a: ReciprocalMatrix, w: Sequence[Fraction]) -> DominanceDigraph:
-    """Exact dominance digraph of (a, w), every pair decided by
-    ``_edge_oracle``; ties yield edges in both directions."""
-    table, edge = _edge_oracle(a, w)
-    for i, j in itertools.combinations(range(len(table)), 2):
-        edge(i, j)
+    """Exact dominance digraph of (a, w): each row i is compared with every
+    later vertex by ``_edge_oracle``'s scan; ties yield edges in both
+    directions."""
+    table, _, scan = _edge_oracle(a, w)
+    n = len(table)
+    for i in range(n - 1):
+        scan(i, range(i + 1, n), stop=False)
     return DominanceDigraph._unchecked(tuple(map(tuple, table)))
 
 
@@ -205,21 +245,20 @@ def common_digraph(
     return shared
 
 
-def _hamiltonian_path(edge: Edge, n: int) -> list[int]:
-    """Insertion construction of a Hamiltonian path; valid in any semi-complete digraph."""
+def _hamiltonian_path(edge: Edge, scan: Scan, n: int) -> list[int]:
+    """Insertion construction of a Hamiltonian path; valid in any semi-complete digraph.
+
+    Each new vertex u goes after the path when the last vertex has an edge
+    to it.  Otherwise u has an edge to the last vertex, so it goes before
+    the first vertex it has an edge to, which ``scan`` finds among the
+    others: the predecessor there, if any, has an edge to u.
+    """
     path = [0]
     for u in range(1, n):
         if edge(path[-1], u):
             path.append(u)
-            continue
-        if edge(u, path[0]):
-            path.insert(0, u)
-            continue
-        # First position whose occupant u beats; its predecessor beats u.
-        for t in range(1, len(path)):
-            if edge(u, path[t]):
-                path.insert(t, u)
-                break
+        else:
+            path.insert(scan(u, path[:-1]), u)
     return path
 
 
@@ -230,13 +269,14 @@ def _component_ends(edge: Edge, path: list[int]) -> Iterator[int]:
     of any Hamiltonian path.  The run from ``start`` grows to the farthest
     later vertex with an edge back into it, since the path leads forward to
     that vertex and the edge closes a cycle; the run is a component once no
-    later vertex has an edge into it.  Each pair is read at most once.
+    later vertex has an edge into it, or once it reaches the last vertex.
+    Each pair is read at most once.
     """
     n = len(path)
     start = 0
     while start < n:
         end = s = start
-        while s <= end:
+        while s <= end < n - 1:
             v = path[s]
             for t in range(n - 1, end, -1):
                 if edge(path[t], v):
@@ -254,7 +294,7 @@ def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...]
     every digraph from ``build_digraph`` is, so the components are runs of
     the insertion path (``_component_ends``).
     """
-    path = _hamiltonian_path(g.has_edge, g.n)
+    path = _hamiltonian_path(g.has_edge, g._scan, g.n)
     components: list[tuple[int, ...]] = []
     start = 0
     for end in _component_ends(g.has_edge, path):
@@ -302,11 +342,11 @@ def _grow_cycle(edge: Edge, path: list[int]) -> HamiltonianCycle:
     return HamiltonianCycle.from_vertices(cycle)
 
 
-def _certificate(edge: Edge, n: int) -> EfficiencyCertificate:
+def _certificate(edge: Edge, scan: Scan, n: int) -> EfficiencyCertificate:
     """Both witnesses from one insertion path: its first run is the source
     component, the cut when it is not all n vertices, and otherwise the path
     grows into a Hamiltonian cycle."""
-    path = _hamiltonian_path(edge, n)
+    path = _hamiltonian_path(edge, scan, n)
     end = next(_component_ends(edge, path))
     if end < n - 1:
         return EfficiencyCertificate(efficient=False, cut=tuple(sorted(path[: end + 1])))
@@ -318,7 +358,7 @@ def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
 
     Raises ValueError when g is not strongly connected, so has none.
     """
-    certificate = _certificate(g.has_edge, g.n)
+    certificate = _certificate(g.has_edge, g._scan, g.n)
     if not certificate.efficient:
         raise ValueError("digraph is not strongly connected; no Hamiltonian cycle exists")
     return certificate.cycle
@@ -330,7 +370,8 @@ def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertif
     Builds no digraph: the certificate reads edges from ``_edge_oracle``,
     so only the pairs it needs are compared.
     """
-    return _certificate(_edge_oracle(a, w)[1], a.n)
+    _, edge, scan = _edge_oracle(a, w)
+    return _certificate(edge, scan, a.n)
 
 
 def improve(a: ReciprocalMatrix, w: Sequence[Fraction]) -> Vec | None:
@@ -343,16 +384,29 @@ def improve(a: ReciprocalMatrix, w: Sequence[Fraction]) -> Vec | None:
     closer to its entry, so the scaled vector dominates.  The tight pair
     joins two components, so at most n - 1 rounds reach an efficient
     vector; domination is transitive, so it dominates w.
+
+    With w_i = p_i/q_i and a_ij = r_ij/s_ij, the ratio is
+    (r_ij*p_j*q_i) / (s_ij*q_j*p_i); the largest is found by integer
+    cross-products, and only the factor is built as a Fraction.
     """
     vec = as_weight_vector(w)
     certificate = is_efficient(a, vec)
     if certificate.efficient:
         return None
-    e = a.entries
+    num = a._numerators
     while not certificate.efficient:
         inside = set(certificate.cut)
         outside = [j for j in range(a.n) if j not in inside]
-        factor = max(e[i][j] * vec[j] / vec[i] for i in inside for j in outside)
+        p = [v.numerator for v in vec]
+        q = [v.denominator for v in vec]
+        top, bottom = 0, 1
+        for i in inside:
+            for j in outside:
+                x = num[i][j] * p[j] * q[i]
+                y = num[j][i] * q[j] * p[i]
+                if x * bottom > top * y:
+                    top, bottom = x, y
+        factor = Fraction(top, bottom)
         vec = tuple(v * factor if t in inside else v for t, v in enumerate(vec))
         certificate = is_efficient(a, vec)
     return vec

@@ -1,5 +1,6 @@
 """Dominance digraphs, strong connectivity, Hamiltonian cycles, certificates."""
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from effvec import (
     exhaustive_hamiltonian,
     find_hamiltonian_cycle,
     generate,
+    improve,
     is_efficient,
     random_weight_vector,
     strongly_connected,
@@ -25,6 +27,7 @@ from effvec.generators import KINDS
 from helpers import (
     common_digraph_reference,
     cone_contains_reference,
+    edge_reference,
     fractions,
     kosaraju_reference,
     semicomplete_digraphs,
@@ -373,25 +376,97 @@ class TestEdgeOracle:
         monkeypatch.setattr(effvec.digraph.DominanceDigraph, "_unchecked", refuse)
         assert [is_efficient(a, w) for a, w in cases] == expected
 
-    def test_each_pair_compared_at_most_once(self, monkeypatch):
+    def test_each_pair_compared_at_most_once(self):
+        # Every comparison of the pair (i, j), by the edge test or inline in
+        # the scan, reads the numerator table at (i, j) and at (j, i) once.
+        # Counting those reads counts the products wherever they are made.
         a, w = noisy_column_150()
         expected = reference_certificate(a, w)
-        products = []
-        oracle = effvec.digraph._edge_oracle
+        reads = collections.Counter()
 
-        def counting(a, w):
-            table, edge = oracle(a, w)
+        class CountedRow(tuple):
+            def __getitem__(self, j):
+                reads[self.i, j] += 1
+                return tuple.__getitem__(self, j)
 
-            def counted(i, j):
-                if table[i][j] is None:
-                    products.append(frozenset((i, j)))
-                return edge(i, j)
+        rows = []
+        for i, row in enumerate(a._numerators):
+            rows.append(CountedRow(row))
+            rows[-1].i = i
+        counted = ReciprocalMatrix(a.entries)
+        object.__setattr__(counted, "_numerators", tuple(rows))
+        assert is_efficient(counted, w) == expected
+        assert set(reads.values()) == {1}
+        assert all((j, i) in reads for i, j in reads)
+        assert len(reads) // 2 <= 150 * 149 // 2
 
-            return table, counted
+    @pytest.mark.parametrize("kind", ["consistent", "double", "chosen"])
+    def test_ties_match_full_table_reference(self, kind):
+        # Tied pairs carry both edges; the scan must record both, as the
+        # Fraction test w_i >= a_ij * w_j does.
+        rng = random.Random(f"ties:{kind}")
+        tied = 0
+        for seed, n in enumerate((3, 4, 5, 6, 7, 9, 12, 20, 33)):
+            if kind == "consistent":
+                a = consistent_matrix(random_weight_vector(rng, n))
+                vectors = [a.column(k) for k in range(n)]
+            elif kind == "double":
+                a = generate("double", n, seed=seed)
+                vectors = [a.column(k) for k in range(n)]
+            else:
+                a = generate("random", n, seed=seed)
+                vectors = [tied_vector(rng, a) for _ in range(6)]
+            for w in vectors:
+                adjacency = tuple(tuple(edge_reference(a, w, i, j) for j in range(n)) for i in range(n))
+                tied += sum(adjacency[i][j] and adjacency[j][i] for j in range(n) for i in range(j))
+                assert build_digraph(a, w).adjacency == adjacency
+                assert is_efficient(a, w) == reference_certificate(a, w), (n, w)
+        assert tied
 
-        monkeypatch.setattr(effvec.digraph, "_edge_oracle", counting)
-        assert is_efficient(a, w) == expected
-        assert len(products) == len(set(products)) <= 150 * 149 // 2
+
+def tied_vector(rng: random.Random, a):
+    """A vector that ties on randomly chosen pairs: each vertex in a random
+    order either takes w_i = a_ij * w_j for an earlier vertex j or a random
+    palette value."""
+    order = rng.sample(range(a.n), a.n)
+    w = [None] * a.n
+    w[order[0]] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    for k, i in enumerate(order[1:], 1):
+        if rng.random() < 0.7:
+            j = order[rng.randrange(k)]
+            w[i] = a.entries[i][j] * w[j]
+        else:
+            w[i] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return tuple(w)
+
+
+def improve_reference(a, w):
+    """``improve`` with the scale factor as the Fraction max over the
+    crossing pairs."""
+    vec = tuple(w)
+    certificate = is_efficient(a, vec)
+    if certificate.efficient:
+        return None
+    e = a.entries
+    while not certificate.efficient:
+        inside = set(certificate.cut)
+        outside = [j for j in range(a.n) if j not in inside]
+        factor = max(e[i][j] * vec[j] / vec[i] for i in inside for j in outside)
+        vec = tuple(v * factor if t in inside else v for t, v in enumerate(vec))
+        certificate = is_efficient(a, vec)
+    return vec
+
+
+def test_improve_matches_fraction_max():
+    # Palette and subset-scaled vectors on a column-perturbed n = 150
+    # matrix take tens of rounds.
+    rng = random.Random("improve-150")
+    a = column_perturbed(rng, 150)
+    vectors = {kind: w for kind, w, _ in vector_kinds(rng, a) if kind in ("palette", "scaled")}
+    for kind, w in vectors.items():
+        better = improve(a, w)
+        assert better is not None and better == improve_reference(a, w), kind
+        assert all(type(x) is Fraction for x in better)
 
 
 class TestExhaustiveOracle:
