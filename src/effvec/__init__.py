@@ -29,10 +29,8 @@ from .digraph import (
     HamiltonianCycle,
     build_digraph,
     common_digraph,
-    find_hamiltonian_cycle,
     improve,
     is_efficient,
-    strongly_connected,
 )
 from .errors import CapExceededError, ConvergenceError, EffvecError, ParseError
 from .formats import (
@@ -115,7 +113,6 @@ __all__ = [
     "efficient_set_union",
     "enumerate_cycles",
     "exhaustive_hamiltonian",
-    "find_hamiltonian_cycle",
     "format_matrix",
     "format_rational",
     "format_vector",
@@ -137,7 +134,6 @@ __all__ = [
     "random_weight_vector",
     "resolve_unit_cycle",
     "singular_vector",
-    "strongly_connected",
     "transform_vector",
     "weighted_geometric",
 ]

@@ -21,7 +21,7 @@ from typing import Sequence
 from .bruteforce import dominance_search, exhaustive_hamiltonian, probe
 from .cones import cycle_product
 from .decomposition import DEFAULT_CYCLE_CAP, convexity_report, decompose, membership
-from .digraph import HamiltonianCycle, build_digraph, improve, is_efficient, strongly_connected
+from .digraph import HamiltonianCycle, build_digraph, improve, is_efficient
 from .errors import CapExceededError, ConvergenceError, EffvecError, ParseError
 from .formats import (
     certificate_to_json,
@@ -179,13 +179,13 @@ def _cmd_self_check(args: argparse.Namespace) -> tuple[int, dict]:
         a = generate("random", n, seed=rng.randrange(1 << 30))
         w = random_weight_vector(rng, n)
         g = build_digraph(a, w)
-        strong, _ = strongly_connected(g)
+        certificate = is_efficient(a, w)
         found = exhaustive_hamiltonian(g)
-        if strong != (found is not None):
+        if certificate.efficient != (found is not None):
             failures.append(f"oracle disagreement on n={n}")
         if found is not None:
             cycle_hits += 1
-            constructed = is_efficient(a, w).cycle
+            constructed = certificate.cycle
             if constructed is None or not g.has_cycle(constructed):
                 failures.append(f"constructed cycle invalid on n={n}")
     checks.append(f"cycle oracle: {trials} trials, {cycle_hits} efficient, {'ok' if not failures else 'FAIL'}")

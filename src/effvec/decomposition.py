@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cones import EfficiencyCone
-from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient, strongly_connected
+from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
 from .records import Record
@@ -136,19 +136,20 @@ def decompose(a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP) -> Decompositio
 def membership(d: Decomposition, w: Sequence[Fraction]) -> HamiltonianCycle | None:
     """First cone (in enumeration order) containing w, or None.
 
-    None means w is not efficient for the decomposed matrix.  The cone of a
-    cycle contains w exactly when the dominance digraph g(w) contains the
-    cycle, so the answer is the first cycle of g(w) with product below 1;
-    ``d.cones`` is not read.  Without strong connectivity g(w) has no
-    Hamiltonian cycle at all.  Every cycle of a consistent matrix has
-    product 1, so there the walk takes the first cycle of g(w): g(w) is
-    strongly connected only on the ray, where it is complete, so members
-    report the rotation 0 -> 1 -> ... -> n-1 -> 0.
+    None means w is not efficient for the decomposed matrix, which
+    ``is_efficient`` decides first: without strong connectivity the
+    dominance digraph g(w) has no Hamiltonian cycle at all, and no table
+    is built.  The cone of a cycle contains an efficient w exactly when
+    g(w) contains the cycle, so the answer is the first cycle of g(w) with
+    product below 1, walked over the full table; ``d.cones`` is not read.
+    Every cycle of a consistent matrix has product 1, so there the walk
+    takes the first cycle of g(w): g(w) is strongly connected only on the
+    ray, where it is complete, so members report the rotation
+    0 -> 1 -> ... -> n-1 -> 0.
     """
-    g = build_digraph(d.matrix, w)
-    if not strongly_connected(g)[0]:
+    if not is_efficient(d.matrix, w).efficient:
         return None
-    walk = _walk(d.matrix._numerators, g.adjacency)
+    walk = _walk(d.matrix._numerators, build_digraph(d.matrix, w).adjacency)
     order = next((order for order, r, s in walk if r < s or d.ray is not None), None)
     return None if order is None else HamiltonianCycle._unchecked(order)
 

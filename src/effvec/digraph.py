@@ -15,11 +15,13 @@ that path, and when there is one run the path grows into the cycle.
 When w is inefficient, the source component is the cut of the certificate,
 and scaling it down until a crossing pair turns tight gives a dominating
 vector; ``improve`` repeats that until the vector is efficient.
-``is_efficient`` builds no digraph: it reads edges from a memoised oracle,
-so it compares only the pairs its certificate reads.  The path places each
-new vertex with the oracle's scan, which compares it with the path in
-order and stops at the first vertex it beats; ``build_digraph`` fills each
-row of its table with the same scan.
+``is_efficient`` is the only certificate, and it builds no digraph: it
+reads edges from a memoised oracle, so it compares only the pairs its
+certificate reads.  The path places each new vertex with the oracle's
+scan, which compares it with the path in order and stops at the first
+vertex it beats.  ``build_digraph`` fills each row of a full table with
+the same scan, for the callers that read every edge: the cycle walk,
+cone membership and the edges several vectors share.
 
 Matrices and vectors stay ``Fraction`` at the interface.  Inside, each edge
 test clears denominators and compares integer products, using the integer
@@ -48,8 +50,6 @@ __all__ = [
     "HamiltonianCycle",
     "build_digraph",
     "common_digraph",
-    "strongly_connected",
-    "find_hamiltonian_cycle",
     "is_efficient",
     "improve",
 ]
@@ -99,10 +99,8 @@ class HamiltonianCycle(Record):
 class DominanceDigraph(Record):
     """Adjacency of the dominance relation; adjacency[i][j] is the edge i -> j.
 
-    The digraph must be semi-complete, with an edge in at least one
-    direction between every two vertices, as every digraph from
-    ``build_digraph`` is: ``strongly_connected`` and
-    ``find_hamiltonian_cycle`` rely on it.  The constructor raises
+    Every dominance digraph is semi-complete, with an edge in at least one
+    direction between every two vertices, so the constructor raises
     ``ValueError`` on a non-square or not semi-complete adjacency.
     """
 
@@ -128,12 +126,6 @@ class DominanceDigraph(Record):
 
     def has_edge(self, i: int, j: int) -> bool:
         return self.adjacency[i][j]
-
-    def _scan(self, u: int, vertices: Sequence[int]) -> int:
-        """Index of the first of ``vertices`` that u has an edge to, or
-        len(vertices): the ``Scan`` of this digraph's adjacency rows."""
-        row = self.adjacency[u]
-        return next((t for t, v in enumerate(vertices) if row[v]), len(vertices))
 
     def has_cycle(self, cycle: HamiltonianCycle) -> bool:
         """Whether every edge of ``cycle`` is an edge here: for the digraph of
@@ -287,22 +279,6 @@ def _component_ends(edge: Edge, path: list[int]) -> Iterator[int]:
         start = end + 1
 
 
-def strongly_connected(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Strong components of a semi-complete digraph, in topological order.
-
-    g is semi-complete, as the ``DominanceDigraph`` constructor checks and
-    every digraph from ``build_digraph`` is, so the components are runs of
-    the insertion path (``_component_ends``).
-    """
-    path = _hamiltonian_path(g.has_edge, g._scan, g.n)
-    components: list[tuple[int, ...]] = []
-    start = 0
-    for end in _component_ends(g.has_edge, path):
-        components.append(tuple(sorted(path[start : end + 1])))
-        start = end + 1
-    return len(components) == 1, tuple(components)
-
-
 def _grow_cycle(edge: Edge, path: list[int]) -> HamiltonianCycle:
     """Hamiltonian cycle from the Hamiltonian path of a strongly connected
     semi-complete digraph.
@@ -342,36 +318,22 @@ def _grow_cycle(edge: Edge, path: list[int]) -> HamiltonianCycle:
     return HamiltonianCycle.from_vertices(cycle)
 
 
-def _certificate(edge: Edge, scan: Scan, n: int) -> EfficiencyCertificate:
-    """Both witnesses from one insertion path: its first run is the source
-    component, the cut when it is not all n vertices, and otherwise the path
-    grows into a Hamiltonian cycle."""
+def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertificate:
+    """Decide efficiency of w for a, with a cycle or cut witness.
+
+    Both witnesses come from one insertion path: its first run is the
+    source component, the cut when it is not all n vertices, and otherwise
+    the path grows into a Hamiltonian cycle.  Builds no digraph: edges are
+    read from ``_edge_oracle``, so only the pairs the certificate needs are
+    compared.
+    """
+    _, edge, scan = _edge_oracle(a, w)
+    n = a.n
     path = _hamiltonian_path(edge, scan, n)
     end = next(_component_ends(edge, path))
     if end < n - 1:
         return EfficiencyCertificate(efficient=False, cut=tuple(sorted(path[: end + 1])))
     return EfficiencyCertificate(efficient=True, cycle=_grow_cycle(edge, path))
-
-
-def find_hamiltonian_cycle(g: DominanceDigraph) -> HamiltonianCycle:
-    """Hamiltonian cycle of a strongly connected semi-complete digraph.
-
-    Raises ValueError when g is not strongly connected, so has none.
-    """
-    certificate = _certificate(g.has_edge, g._scan, g.n)
-    if not certificate.efficient:
-        raise ValueError("digraph is not strongly connected; no Hamiltonian cycle exists")
-    return certificate.cycle
-
-
-def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertificate:
-    """Decide efficiency of w for a, with a cycle or cut witness.
-
-    Builds no digraph: the certificate reads edges from ``_edge_oracle``,
-    so only the pairs it needs are compared.
-    """
-    _, edge, scan = _edge_oracle(a, w)
-    return _certificate(edge, scan, a.n)
 
 
 def improve(a: ReciprocalMatrix, w: Sequence[Fraction]) -> Vec | None:

@@ -129,7 +129,8 @@ class EfficiencyBand(Record):
 
     Membership: cap * w[0] >= w[top] >= w[k] >= w[bottom] >= floor * w[0]
     for every middle index k (those other than 0, top, bottom), where
-    cap = a[top][0] and floor = a[bottom][0].
+    cap = a[top][0] and floor = a[bottom][0].  ``contains`` raises
+    ``ValueError`` on a vector too short to hold ``top`` and ``bottom``.
     """
 
     __slots__ = _fields = ("top", "bottom", "cap", "floor")
@@ -139,6 +140,8 @@ class EfficiencyBand(Record):
 
     def contains(self, w: Sequence[Fraction]) -> bool:
         vec = as_weight_vector(w)
+        if len(vec) <= max(self.top, self.bottom):
+            raise ValueError(f"vector length {len(vec)} cannot hold band indices {self.top} and {self.bottom}")
         hi = vec[self.top]
         lo = vec[self.bottom]
         if not (self.cap * vec[0] >= hi and lo >= self.floor * vec[0] and hi >= lo):

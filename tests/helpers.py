@@ -308,9 +308,9 @@ def check_convexity_report(a: ReciprocalMatrix, report) -> None:
 def kosaraju_reference(g: DominanceDigraph) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Kosaraju SCC pass on any digraph; components in topological order.
 
-    Reference for ``strongly_connected`` and for the cut of ``is_efficient``:
-    a general graph search over the full adjacency that, unlike the runs of
-    the insertion path both read, does not need the digraph to be
+    Reference for the verdict and the cut of ``is_efficient``: a general
+    graph search over the full adjacency that, unlike the runs of the
+    insertion path ``is_efficient`` reads, does not need the digraph to be
     semi-complete.
     """
     n = g.n
@@ -367,6 +367,16 @@ def semicomplete_digraphs(n: int):
             adj[i][j] = kind != 1
             adj[j][i] = kind != 0
         yield DominanceDigraph(tuple(map(tuple, adj)))
+
+
+def semicomplete_matrix(g: DominanceDigraph) -> ReciprocalMatrix:
+    """A matrix whose dominance digraph at w = (1, ..., 1) is g: a_ij = 1
+    where both edges exist, 1/2 where only i -> j does, 2 where only
+    j -> i does."""
+    entries = {(True, True): Fraction(1), (True, False): Fraction(1, 2), (False, True): Fraction(2)}
+    adj = g.adjacency
+    rows = (tuple(entries[row[j], adj[j][i]] for j in range(g.n)) for i, row in enumerate(adj))
+    return ReciprocalMatrix(tuple(rows))
 
 
 # --- references for the ranking arithmetic ----------------------------------

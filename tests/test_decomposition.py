@@ -122,6 +122,21 @@ class TestDecompose:
         assert proportional(w, consistent3.column(0))
         assert membership(d, fractions(1, 1, 1)) is None
 
+    def test_membership_builds_no_table_for_inefficient(self, monkeypatch, double4, consistent3):
+        # The certificate refuses an inefficient vector before any table is built.
+        cases = [(double4, fractions(2, 4, 5, 4)), (consistent3, fractions(1, 1, 1))]
+        decomposed = [(decompose(a), w) for a, w in cases]
+
+        def refuse(*args):
+            raise AssertionError("membership built a digraph")
+
+        monkeypatch.setattr(decomposition, "build_digraph", refuse)
+        for d, w in decomposed:
+            assert membership(d, w) is None
+        # An efficient vector still walks the full table.
+        with pytest.raises(AssertionError, match="built a digraph"):
+            membership(decomposed[0][0], double4.column(1))
+
     def test_membership_rejects_wrong_length(self):
         for a in (generate("random", 4, seed=0), consistent_matrix(fractions(1, 2, 3, 4))):
             d = decompose(a)

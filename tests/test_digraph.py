@@ -16,12 +16,10 @@ from effvec import (
     common_digraph,
     consistent_matrix,
     exhaustive_hamiltonian,
-    find_hamiltonian_cycle,
     generate,
     improve,
     is_efficient,
     random_weight_vector,
-    strongly_connected,
 )
 from effvec.generators import KINDS
 from helpers import (
@@ -31,6 +29,7 @@ from helpers import (
     fractions,
     kosaraju_reference,
     semicomplete_digraphs,
+    semicomplete_matrix,
 )
 
 import random
@@ -144,41 +143,55 @@ def _reachable(g, start: int) -> set[int]:
 
 
 class TestStrongConnectivity:
+    # The verdict and the cut of ``is_efficient`` against graph searches
+    # over the full table.
     def test_matches_reachability_oracle(self):
         rng = random.Random(5)
         for seed in range(60):
             a = generate("random", rng.randint(3, 6), seed=seed)
             w = random_weight_vector(rng, a.n)
             g = build_digraph(a, w)
-            strong, components = strongly_connected(g)
+            cert = is_efficient(a, w)
             oracle = all(len(_reachable(g, s)) == g.n for s in range(g.n))
-            assert strong == oracle
-            assert sorted(v for comp in components for v in comp) == list(range(g.n))
+            assert cert.efficient == oracle
+            if not oracle:
+                # The source component: it reaches every vertex, and no
+                # vertex outside it reaches into it.
+                cut = set(cert.cut)
+                assert all(len(_reachable(g, u)) == g.n for u in cut)
+                assert all(not _reachable(g, v) & cut for v in range(g.n) if v not in cut)
 
     def test_components_in_topological_order(self):
+        # The cut is the first component: every pair between it and the
+        # rest has only the edge leaving it.
         rng = random.Random(6)
         for seed in range(40):
             a = generate("random", rng.randint(3, 6), seed=seed)
             w = random_weight_vector(rng, a.n)
             g = build_digraph(a, w)
-            _, components = strongly_connected(g)
-            position = {}
-            for k, comp in enumerate(components):
-                for v in comp:
-                    position[v] = k
-            for i in range(g.n):
-                for j in range(g.n):
-                    if i != j and g.has_edge(i, j):
-                        assert position[i] <= position[j]
-
+            cert = is_efficient(a, w)
+            if cert.efficient:
+                continue
+            outside = [j for j in range(g.n) if j not in cert.cut]
+            for i in cert.cut:
+                for j in outside:
+                    assert g.has_edge(i, j) and not g.has_edge(j, i)
 
     def test_matches_kosaraju_on_every_semicomplete_digraph_up_to_five(self):
-        # The runs of the insertion path must be the graph search's
-        # components, in the same topological order, ties (2-cycles) included.
+        # The runs of the insertion path must give the graph search's
+        # verdict and first component, ties (2-cycles) included, and the
+        # cycle must use only the digraph's edges.
         counted = 0
         for n in (2, 3, 4, 5):
+            ones = (Fraction(1),) * n
             for g in semicomplete_digraphs(n):
-                assert strongly_connected(g) == kosaraju_reference(g)
+                cert = is_efficient(semicomplete_matrix(g), ones)
+                strong, components = kosaraju_reference(g)
+                assert cert.efficient == strong
+                if strong:
+                    assert g.has_cycle(cert.cycle)
+                else:
+                    assert cert.cut == components[0]
                 counted += 1
         assert counted == 3 + 3**3 + 3**6 + 3**10
 
@@ -187,47 +200,43 @@ class TestStrongConnectivity:
         for seed in range(30):
             a = generate("random", rng.randint(3, 40), seed=seed)
             for w in (random_weight_vector(rng, a.n), a.column(rng.randrange(a.n))):
-                g = build_digraph(a, w)
-                assert strongly_connected(g) == kosaraju_reference(g)
+                check_reference_certificate(a, w, is_efficient(a, w))
 
 
 class TestFindHamiltonianCycle:
+    # The cycle of ``is_efficient`` against the exhaustive search.
     def test_agrees_with_exhaustive_oracle(self):
         rng = random.Random(7)
         for seed in range(120):
             a = generate("random", rng.randint(3, 6), seed=seed)
             w = random_weight_vector(rng, a.n)
             g = build_digraph(a, w)
-            strong, _ = strongly_connected(g)
+            cert = is_efficient(a, w)
             brute = exhaustive_hamiltonian(g)
-            assert strong == (brute is not None)
-            if strong:
-                fast = find_hamiltonian_cycle(g)
-                assert fast is not None
-                assert all(g.has_edge(i, j) for i, j in fast.edges())
+            assert cert.efficient == (brute is not None)
+            if cert.efficient:
+                assert g.has_cycle(cert.cycle)
 
     def test_rejects_non_strong_input(self, double4):
         w = fractions(2, 4, 5, 4)
-        g = build_digraph(double4, w)
-        with pytest.raises(ValueError):
-            find_hamiltonian_cycle(g)
+        cert = is_efficient(double4, w)
+        assert cert.cycle is None and cert.cut is not None
+        assert exhaustive_hamiltonian(build_digraph(double4, w)) is None
 
     def test_every_semicomplete_digraph_up_to_four(self):
-        # The construction must return a valid cycle on every strong
-        # digraph and raise on every other one.
+        # A valid cycle on every strong digraph, and none on every other
+        # one, as the exhaustive search finds.
         # Each pair is an edge one way, the other way, or both ways.
         seen = {True: 0, False: 0}
         for n in (2, 3, 4):
             for g in semicomplete_digraphs(n):
-                strong, _ = strongly_connected(g)
-                seen[strong] += 1
-                if strong:
-                    cycle = find_hamiltonian_cycle(g)
-                    assert cycle.n == n
-                    assert all(g.has_edge(i, j) for i, j in cycle.edges())
+                cert = is_efficient(semicomplete_matrix(g), (Fraction(1),) * n)
+                assert cert.efficient == (exhaustive_hamiltonian(g) is not None)
+                seen[cert.efficient] += 1
+                if cert.efficient:
+                    assert g.has_cycle(cert.cycle)
                 else:
-                    with pytest.raises(ValueError):
-                        find_hamiltonian_cycle(g)
+                    assert cert.cycle is None
         assert seen[True] + seen[False] == 3 + 27 + 729
         assert seen[True] > 0 and seen[False] > 0
 
@@ -236,13 +245,10 @@ class TestFindHamiltonianCycle:
         # through n vertices; insertion must still find it fast.
         n = 9
         w = tuple(Fraction(2) ** k for k in range(n))
-        from effvec import consistent_matrix
-
         a = consistent_matrix(w)
-        g = build_digraph(a, w)
-        cycle = find_hamiltonian_cycle(g)
+        cycle = is_efficient(a, w).cycle
         assert cycle is not None
-        assert all(g.has_edge(i, j) for i, j in cycle.edges())
+        assert build_digraph(a, w).has_cycle(cycle)
 
 
 class TestIsEfficient:
@@ -320,14 +326,17 @@ def vector_kinds(rng: random.Random, a):
     yield "noisy", tuple(x * Fraction(rng.randint(90, 110), 100) for x in column), None
 
 
-def reference_certificate(a, w) -> EfficiencyCertificate:
-    """The certificate from the full table: every pair compared, components
-    from a general graph search."""
+def check_reference_certificate(a, w, cert: EfficiencyCertificate) -> None:
+    """Check a certificate against the full table, with every pair compared:
+    the verdict and the cut from a general graph search, and each edge of
+    the cycle read from the table."""
     g = build_digraph(a, w)
     strong, components = kosaraju_reference(g)
+    assert cert.efficient == strong
     if strong:
-        return EfficiencyCertificate(efficient=True, cycle=find_hamiltonian_cycle(g))
-    return EfficiencyCertificate(efficient=False, cut=components[0])
+        assert cert.cut is None and g.has_cycle(cert.cycle)
+    else:
+        assert cert.cycle is None and cert.cut == components[0]
 
 
 def noisy_column_150():
@@ -348,7 +357,7 @@ class TestEdgeOracle:
             a = generate(kind, n, seed=seed)
             for vector, w, closed in vector_kinds(rng, a):
                 cert = is_efficient(a, w)
-                assert cert == reference_certificate(a, w), (n, vector)
+                check_reference_certificate(a, w, cert)
                 seen[cert.efficient] += 1
                 if closed is not None:
                     assert not cert.efficient and set(cert.cut) <= closed
@@ -360,28 +369,29 @@ class TestEdgeOracle:
         a = column_perturbed(rng, 150) if kind == "column" else generate(kind, 150, seed=1)
         for vector, w, closed in vector_kinds(rng, a):
             cert = is_efficient(a, w)
-            assert cert == reference_certificate(a, w), vector
+            check_reference_certificate(a, w, cert)
             if closed is not None:
                 assert not cert.efficient and set(cert.cut) <= closed
 
     def test_builds_no_digraph(self, monkeypatch, double4):
         cases = [(double4, double4.column(1)), (double4, fractions(2, 4, 5, 4))]
-        expected = [reference_certificate(a, w) for a, w in cases]
-        assert [c.efficient for c in expected] == [True, False]
 
         def refuse(*args):
             raise AssertionError("is_efficient built a digraph")
 
         monkeypatch.setattr(effvec.digraph, "build_digraph", refuse)
         monkeypatch.setattr(effvec.digraph.DominanceDigraph, "_unchecked", refuse)
-        assert [is_efficient(a, w) for a, w in cases] == expected
+        certs = [is_efficient(a, w) for a, w in cases]
+        monkeypatch.undo()
+        assert [c.efficient for c in certs] == [True, False]
+        for (a, w), cert in zip(cases, certs):
+            check_reference_certificate(a, w, cert)
 
     def test_each_pair_compared_at_most_once(self):
         # Every comparison of the pair (i, j), by the edge test or inline in
         # the scan, reads the numerator table at (i, j) and at (j, i) once.
         # Counting those reads counts the products wherever they are made.
         a, w = noisy_column_150()
-        expected = reference_certificate(a, w)
         reads = collections.Counter()
 
         class CountedRow(tuple):
@@ -395,7 +405,8 @@ class TestEdgeOracle:
             rows[-1].i = i
         counted = ReciprocalMatrix(a.entries)
         object.__setattr__(counted, "_numerators", tuple(rows))
-        assert is_efficient(counted, w) == expected
+        cert = is_efficient(counted, w)
+        check_reference_certificate(a, w, cert)
         assert set(reads.values()) == {1}
         assert all((j, i) in reads for i, j in reads)
         assert len(reads) // 2 <= 150 * 149 // 2
@@ -420,7 +431,7 @@ class TestEdgeOracle:
                 adjacency = tuple(tuple(edge_reference(a, w, i, j) for j in range(n)) for i in range(n))
                 tied += sum(adjacency[i][j] and adjacency[j][i] for j in range(n) for i in range(j))
                 assert build_digraph(a, w).adjacency == adjacency
-                assert is_efficient(a, w) == reference_certificate(a, w), (n, w)
+                check_reference_certificate(a, w, is_efficient(a, w))
         assert tied
 
 

@@ -147,6 +147,12 @@ class TestBands:
         assert not band.contains(fractions(1, 6, 4, "9/2", "9/2"))
         assert not band.contains(fractions(1, 5, 4, 2, "9/2"))
 
+    def test_band_refuses_short_vector(self):
+        band = efficiency_band(detect_column_perturbed(generate("column", 5, seed=0)), 1, 3)
+        for short in (fractions(1, 1), fractions(1, 1, 1)):
+            with pytest.raises(ValueError):
+                band.contains(short)
+
     def test_band_requires_ordered_pair(self, perturbed5):
         form = detect_column_perturbed(perturbed5)
         with pytest.raises(ValueError):
