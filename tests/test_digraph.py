@@ -165,6 +165,7 @@ class TestStrongConnectivity:
         # The cut is the first component: every pair between it and the
         # rest has only the edge leaving it.
         rng = random.Random(6)
+        cuts = 0
         for seed in range(40):
             a = generate("random", rng.randint(3, 6), seed=seed)
             w = random_weight_vector(rng, a.n)
@@ -172,10 +173,12 @@ class TestStrongConnectivity:
             cert = is_efficient(a, w)
             if cert.efficient:
                 continue
+            cuts += 1
             outside = [j for j in range(g.n) if j not in cert.cut]
             for i in cert.cut:
                 for j in outside:
                     assert g.has_edge(i, j) and not g.has_edge(j, i)
+        assert cuts
 
     def test_matches_kosaraju_on_every_semicomplete_digraph_up_to_five(self):
         # The runs of the insertion path must give the graph search's
