@@ -60,7 +60,6 @@ from .perturbed import (
     EfficiencyBand,
     classify_perturbation,
     detect_column_perturbed,
-    efficiency_band,
     efficient_set_union,
 )
 from .ranking import (
@@ -108,7 +107,6 @@ __all__ = [
     "decompose",
     "detect_column_perturbed",
     "dominance_search",
-    "efficiency_band",
     "efficiency_cone",
     "efficient_set_union",
     "enumerate_cycles",

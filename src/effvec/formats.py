@@ -17,6 +17,7 @@ Reports are only written: no command reads one back.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -59,15 +60,28 @@ def _rational_from_json(value: Any, where: str) -> Fraction:
     raise ParseError(f"expected a rational literal, got {value!r}", where)
 
 
+def _json_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"integer literal exceeds the {sys.get_int_max_str_digits()}-digit limit") from None
+
+
+def _load_json(text: str, where: str) -> Any:
+    """``json.loads`` with exact numbers; a literal it cannot read is a ParseError at ``where`` too."""
+    try:
+        return json.loads(text, parse_float=parse_rational, parse_int=_json_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}", where) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), where) from None
+
+
 def parse_matrix(text: str) -> ReciprocalMatrix:
     """Parse either the text or the JSON matrix format (sniffed)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            payload = json.loads(text, parse_float=parse_rational)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad JSON: {exc}", "matrix") from None
-        return _matrix_from_json(payload)
+        return _matrix_from_json(_load_json(text, "matrix"))
     return _parse_matrix_text(text)
 
 
@@ -133,10 +147,7 @@ def parse_vector(text: str) -> Vec:
     """Parse a weight vector: whitespace-separated literals or a JSON array."""
     stripped = text.strip()
     if stripped.startswith("["):
-        try:
-            payload = json.loads(stripped, parse_float=parse_rational)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad JSON: {exc}", "vector") from None
+        payload = _load_json(stripped, "vector")
         values = [_rational_from_json(v, f"component {i + 1}") for i, v in enumerate(payload)]
     else:
         tokens = stripped.split()

@@ -6,7 +6,9 @@ Rescaling and relabeling bring such a matrix to a canonical shape with the
 perturbed index first and an all-ones trailing block.  In canonical shape
 the efficient set is a finite union of closed-form convex pieces, one per
 ordered index pair (top, bottom) whose first-row entries satisfy
-``a[0][top] < a[0][bottom]``.
+``a[0][top] < a[0][bottom]``.  Each piece is a band P(D): the vectors whose
+dominance digraph holds every edge of a strongly connected set D, which
+certifies them all; membership is the dominance edge test on D.
 """
 
 from __future__ import annotations
@@ -15,22 +17,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import (
-    MonomialTransform,
-    ReciprocalMatrix,
-    Vec,
-    _consistent_on,
-    as_weight_vector,
-    is_consistent,
-    monomial_similarity,
-)
+from .digraph import _edge_oracle
+from .matrices import MonomialTransform, ReciprocalMatrix, _consistent_on, monomial_similarity
 from .records import Record
 
 __all__ = [
     "ColumnPerturbedForm",
     "EfficiencyBand",
     "detect_column_perturbed",
-    "efficiency_band",
     "efficient_set_union",
     "classify_perturbation",
     "CONSISTENT",
@@ -69,10 +63,6 @@ class ColumnPerturbedForm(Record):
         self._set(canonical, transform, index, candidates, pairs)
 
 
-def _deletion_consistent(a: ReciprocalMatrix, drop: int) -> bool:
-    return _consistent_on(a, [t for t in range(a.n) if t != drop])
-
-
 def _band_pairs(canonical: ReciprocalMatrix) -> tuple[tuple[int, int], ...]:
     top_row = canonical.entries[0]
     n = canonical.n
@@ -92,7 +82,7 @@ def detect_column_perturbed(a: ReciprocalMatrix) -> ColumnPerturbedForm | None:
     Returns None when no single deletion works.
     """
     n = a.n
-    candidates = tuple(drop for drop in range(n) if _deletion_consistent(a, drop))
+    candidates = tuple(drop for drop in range(n) if _consistent_on(a, [t for t in range(n) if t != drop]))
     if not candidates:
         return None
     drop = candidates[0]
@@ -104,8 +94,7 @@ def detect_column_perturbed(a: ReciprocalMatrix) -> ColumnPerturbedForm | None:
     first = keep[0]
     for t in keep:
         scale[t] = 1 / a.entries[t][first]
-    perm = [0] * n
-    perm[drop] = 0
+    perm = [0] * n  # the dropped index goes first
     for position, t in enumerate(keep, start=1):
         perm[t] = position
 
@@ -127,48 +116,47 @@ def detect_column_perturbed(a: ReciprocalMatrix) -> ColumnPerturbedForm | None:
 class EfficiencyBand(Record):
     """One convex piece of the efficient set of a canonical perturbed matrix.
 
-    Membership: cap * w[0] >= w[top] >= w[k] >= w[bottom] >= floor * w[0]
-    for every middle index k (those other than 0, top, bottom), where
-    cap = a[top][0] and floor = a[bottom][0].  ``contains`` raises
-    ``ValueError`` on a vector too short to hold ``top`` and ``bottom``.
+    The band is P(D): the vectors whose dominance digraph holds every edge
+    of D = ``edges``, that is cap * w[0] >= w[top] >= w[k] >= w[bottom] >=
+    floor * w[0] for every middle index k, with cap = a[top][0] and floor =
+    a[bottom][0].  D is strongly connected, so it certifies every member.
+    ``contains`` is the dominance edge test on D; it raises ``ValueError``
+    on a vector whose length is not the matrix dimension.
     """
 
-    __slots__ = _fields = ("top", "bottom", "cap", "floor")
+    __slots__ = _fields = ("matrix", "top", "bottom")
 
-    def __init__(self, top: int, bottom: int, cap: Fraction, floor: Fraction) -> None:
-        self._set(top, bottom, cap, floor)
+    def __init__(self, matrix: ReciprocalMatrix, top: int, bottom: int) -> None:
+        n = matrix.n
+        if not (1 <= top < n and 1 <= bottom < n) or top == bottom:
+            raise ValueError("band indices must be distinct and nonzero")
+        if matrix.entries[0][top] >= matrix.entries[0][bottom]:
+            raise ValueError("band requires a[0][top] < a[0][bottom] in canonical form")
+        self._set(matrix, top, bottom)
+
+    @property
+    def cap(self) -> Fraction:
+        return self.matrix.entries[self.top][0]
+
+    @property
+    def floor(self) -> Fraction:
+        return self.matrix.entries[self.bottom][0]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """D: (0, top), (top, bottom), (bottom, 0), then (top, k), (k, bottom) for each middle k."""
+        top, bottom = self.top, self.bottom
+        middle = (k for k in range(1, self.matrix.n) if k != top and k != bottom)
+        return ((0, top), (top, bottom), (bottom, 0)) + tuple(e for k in middle for e in ((top, k), (k, bottom)))
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        vec = as_weight_vector(w)
-        if len(vec) <= max(self.top, self.bottom):
-            raise ValueError(f"vector length {len(vec)} cannot hold band indices {self.top} and {self.bottom}")
-        hi = vec[self.top]
-        lo = vec[self.bottom]
-        if not (self.cap * vec[0] >= hi and lo >= self.floor * vec[0] and hi >= lo):
-            return False
-        middle = [vec[k] for k in range(1, len(vec)) if k not in (self.top, self.bottom)]
-        return all(hi >= mk >= lo for mk in middle)
-
-
-def efficiency_band(form: ColumnPerturbedForm, top: int, bottom: int) -> EfficiencyBand:
-    """The convex piece pinned by canonical indices (top, bottom)."""
-    canonical = form.canonical
-    n = canonical.n
-    if not (1 <= top < n and 1 <= bottom < n) or top == bottom:
-        raise ValueError("band indices must be distinct and nonzero")
-    if canonical.entries[0][top] >= canonical.entries[0][bottom]:
-        raise ValueError("band requires a[0][top] < a[0][bottom] in canonical form")
-    return EfficiencyBand(
-        top=top,
-        bottom=bottom,
-        cap=canonical.entries[top][0],
-        floor=canonical.entries[bottom][0],
-    )
+        _, edge, _ = _edge_oracle(self.matrix, w)
+        return all(edge(i, j) for i, j in self.edges)
 
 
 def efficient_set_union(form: ColumnPerturbedForm) -> tuple[EfficiencyBand, ...]:
     """All convex pieces; their union is the canonical matrix's efficient set."""
-    return tuple(efficiency_band(form, i, j) for i, j in form.pairs)
+    return tuple(EfficiencyBand(form.canonical, i, j) for i, j in form.pairs)
 
 
 def classify_perturbation(a: ReciprocalMatrix) -> str:

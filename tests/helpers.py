@@ -151,6 +151,22 @@ def cone_contains_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle, w) -> 
     return all(edge_reference(a, vec, i, j) for i, j in cycle.edges())
 
 
+def band_contains_reference(band, w) -> bool:
+    """Whether w meets cap*w_0 >= w_top >= w_k >= w_bottom >= floor*w_0 for
+    every middle k, in Fractions: the chain ``EfficiencyBand.contains``
+    tested before band membership went through the dominance digraph.
+    Raises ValueError for a non-positive vector or one whose length differs
+    from the band's matrix."""
+    vec = as_weight_vector(w)
+    if len(vec) != band.matrix.n:
+        raise ValueError(f"vector length {len(vec)} does not match matrix dimension {band.matrix.n}")
+    hi, lo = vec[band.top], vec[band.bottom]
+    if not (band.cap * vec[0] >= hi and lo >= band.floor * vec[0] and hi >= lo):
+        return False
+    middle = [vec[k] for k in range(1, len(vec)) if k not in (band.top, band.bottom)]
+    return all(hi >= mk >= lo for mk in middle)
+
+
 def in_cone(a: ReciprocalMatrix, cycle: HamiltonianCycle, w) -> bool:
     """Cone membership as the library decides it, through the dominance
     digraph's ``has_cycle``, after asserting that it equals the reference."""

@@ -71,6 +71,14 @@ class TestCheck:
         assert time.perf_counter() - start < 1
         assert "bad rational literal '1e999999999'" in capsys.readouterr().err
 
+    def test_long_json_integer_exit_two(self, files, capsys):
+        path = files["tmp"] / "long.json"
+        path.write_text('{"n": 2, "rows": [[1, 1' + "0" * 5000 + "], [1, 1]]}")
+        assert main(["check", str(path), files["column"]]) == 2
+        err = capsys.readouterr().err
+        assert "matrix: integer literal exceeds the 4300-digit limit" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_json_output(self, files, capsys):
         assert main(["check", files["circulant"], files["column"], "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -71,6 +71,29 @@ class TestParseMatrix:
             parse_matrix('{"n": ' + n + ', "rows": [["1"]]}')
         assert parse_matrix('{"n": 2, "rows": [["1", "2"], ["1/2", "1"]]}').n == 2
 
+    @pytest.mark.parametrize(
+        "literal,message",
+        [
+            ("1e99999", "bad rational literal '1e99999'"),
+            ("1" + "0" * 5000, "integer literal exceeds the 4300-digit limit"),
+        ],
+        ids=["exponent", "digits"],
+    )
+    def test_json_literal_refused_with_location(self, literal, message):
+        # Unquoted numbers are read inside json.loads; one it cannot read is
+        # a ParseError located at the input, as the text format's is.
+        for parse, text, where in [
+            (parse_matrix, '{"n": 2, "rows": [[1, ' + literal + "], [1, 1]]}", "matrix"),
+            (parse_vector, f"[{literal}, 1]", "vector"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == f"{where}: {message}"
+        with pytest.raises(ParseError, match="^line 2, entry 2: bad rational literal"):
+            parse_matrix(f"2\n1 {literal}\n1 1\n")
+        with pytest.raises(ParseError, match="^component 1: bad rational literal"):
+            parse_vector(f"{literal} 1")
+
     def test_deeply_nested_json(self):
         with pytest.raises(ParseError, match="bad JSON"):
             parse_matrix('{"rows": ' + "[" * 100_000)

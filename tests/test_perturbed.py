@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from effvec import (
+    EfficiencyBand,
     MonomialTransform,
     classify_perturbation,
     consistent_matrix,
     detect_column_perturbed,
-    efficiency_band,
     efficient_set_union,
     generate,
     is_consistent,
@@ -26,7 +27,7 @@ from effvec.perturbed import (
     NOT_COLUMN_PERTURBED,
     SIMPLE,
 )
-from helpers import fractions, matrix_of
+from helpers import band_contains_reference, fractions, kosaraju_reference, matrix_of
 
 
 class TestDetection:
@@ -141,24 +142,68 @@ class TestBands:
 
     def test_band_membership(self, perturbed5):
         form = detect_column_perturbed(perturbed5)
-        band = efficiency_band(form, 1, 2)
+        band = EfficiencyBand(form.canonical, 1, 2)
         # 5 w1 >= w2 >= middle >= w3 >= 4 w1.
         assert band.contains(fractions(1, 5, 4, "9/2", "9/2"))
         assert not band.contains(fractions(1, 6, 4, "9/2", "9/2"))
         assert not band.contains(fractions(1, 5, 4, 2, "9/2"))
 
     def test_band_refuses_short_vector(self):
-        band = efficiency_band(detect_column_perturbed(generate("column", 5, seed=0)), 1, 3)
+        band = EfficiencyBand(detect_column_perturbed(generate("column", 5, seed=0)).canonical, 1, 3)
         for short in (fractions(1, 1), fractions(1, 1, 1)):
             with pytest.raises(ValueError):
                 band.contains(short)
 
+    def test_band_refuses_long_vector(self):
+        band = EfficiencyBand(detect_column_perturbed(generate("column", 5, seed=0)).canonical, 1, 3)
+        with pytest.raises(ValueError):
+            band.contains(fractions(*[1] * 7))
+
+    def test_band_edges_frozen(self, perturbed5):
+        band = EfficiencyBand(detect_column_perturbed(perturbed5).canonical, 1, 2)
+        assert band.edges == ((0, 1), (1, 2), (2, 0), (1, 3), (3, 2), (1, 4), (4, 2))
+
+    def test_bands_are_strong_pieces_matching_reference(self):
+        # Every band's edge set is strongly connected, its edge test equals
+        # the Fraction chain on random vectors and on vectors built from cap,
+        # floor and ties (so >= against > shows), and the union of the bands
+        # is the efficient set of the canonical matrix.
+        rng = random.Random(31)
+        inside = total = 0
+        for kind in ("simple", "double", "column"):
+            for n in range(4, 9):
+                for seed in range(3):
+                    form = detect_column_perturbed(generate(kind, n, seed=seed))
+                    bands = efficient_set_union(form)
+                    vectors = []
+                    for band in bands:
+                        edges = set(band.edges)
+                        assert len(edges) == len(band.edges) == 2 * n - 3
+                        adjacency = tuple(tuple(i == j or (i, j) in edges for j in range(n)) for i in range(n))
+                        assert kosaraju_reference(SimpleNamespace(n=n, adjacency=adjacency))[0]
+                        cap, floor = band.cap, band.floor
+                        palette = (cap * 11 / 10, cap, (cap + floor) / 2, floor, floor * 9 / 10)
+                        for t in range(60):
+                            if t % 2:
+                                w = random_weight_vector(rng, n)
+                            else:
+                                scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                w = (scale,) + tuple(scale * rng.choice(palette) for _ in range(n - 1))
+                            inside += (got := band.contains(w))
+                            assert got == band_contains_reference(band, w), (band, w)
+                            vectors.append(w)
+                    total += len(vectors)
+                    for w in vectors[:: max(1, len(vectors) // 60)]:
+                        in_union = any(band.contains(w) for band in bands)
+                        assert in_union == is_efficient(form.canonical, w).efficient
+        assert 0 < inside < total
+
     def test_band_requires_ordered_pair(self, perturbed5):
         form = detect_column_perturbed(perturbed5)
         with pytest.raises(ValueError):
-            efficiency_band(form, 2, 1)
+            EfficiencyBand(form.canonical, 2, 1)
         with pytest.raises(ValueError):
-            efficiency_band(form, 0, 2)
+            EfficiencyBand(form.canonical, 0, 2)
 
     def test_union_equals_efficient_set(self, perturbed5, double4):
         rng = random.Random(23)

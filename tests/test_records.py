@@ -88,10 +88,10 @@ RECORDS = [
     ),
     (
         EfficiencyBand,
-        ("top", "bottom", "cap", "floor"),
+        ("matrix", "top", "bottom"),
         {},
-        (1, 2, F(1, 2), F(3)),
-        "EfficiencyBand(top=1, bottom=2, cap=Fraction(1, 2), floor=Fraction(3, 1))",
+        (A, 2, 1),
+        f"EfficiencyBand(matrix={A_REPR}, top=2, bottom=1)",
     ),
     (
         RankingCandidate,
