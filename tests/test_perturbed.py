@@ -187,10 +187,15 @@ class TestBands:
                             if t % 2:
                                 w = random_weight_vector(rng, n)
                             else:
+                                # Middles often tie with top or bottom, which sit at or near cap and floor.
+                                hi, lo = rng.choice(palette), rng.choice(palette)
+                                w = [rng.choice((hi, lo, (hi + lo) / 2, rng.choice(palette))) for _ in range(n)]
+                                w[0], w[band.top], w[band.bottom] = Fraction(1), hi, lo
                                 scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                                w = (scale,) + tuple(scale * rng.choice(palette) for _ in range(n - 1))
-                            inside += (got := band.contains(w))
+                                w = tuple(scale * x for x in w)
+                            got = band.contains(w)
                             assert got == band_contains_reference(band, w), (band, w)
+                            inside += got
                             vectors.append(w)
                     total += len(vectors)
                     for w in vectors[:: max(1, len(vectors) // 60)]:
