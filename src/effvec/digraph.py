@@ -8,17 +8,19 @@ exists for every pair (the digraph is semi-complete); ties contribute both.
 w is efficient (no other vector weakly improves every entrywise deviation
 from A, strictly somewhere) precisely when this digraph is strongly
 connected, equivalently when it carries a Hamiltonian cycle.  w lies in
-the efficiency cone of a cycle C exactly when its digraph has C.  Both
-witnesses are direct constructions on one Hamiltonian path, built by
-insertion: in a semi-complete digraph the strong components are runs of
-that path, and when there is one run the path grows into the cycle.
-When w is inefficient, the source component is the cut of the certificate,
-and scaling it down until a crossing pair turns tight gives a dominating
-vector; ``improve`` repeats that until the vector is efficient.
+the efficiency cone of a cycle C exactly when its digraph has C.  When w
+is inefficient, the source component is the cut of the certificate.  A
+sweep of at most 2n - 3 comparisons finds a vertex of it, and the cut
+when that vertex is the whole component.  Otherwise both witnesses are
+direct constructions on one Hamiltonian path, built by insertion: in a
+semi-complete digraph the strong components are runs of that path, and
+when there is one run the path grows into the cycle.  Scaling the cut
+down until a crossing pair turns tight gives a dominating vector;
+``improve`` repeats that until the vector is efficient.
 ``is_efficient`` is the only certificate, and it builds no digraph: it
 reads edges from a memoised oracle, so it compares only the pairs its
 certificate reads.  The path places each new vertex with the oracle's
-scan, which compares it with the path in order and stops at the first
+scan, which reads it against the path in order and stops at the first
 vertex it beats.  ``build_digraph`` fills each row of a full table with
 the same scan, for the callers that read every edge: the cycle walk,
 cone membership and the edges several vectors share.
@@ -167,14 +169,13 @@ def _edge_oracle(
     comparison decides both entries of its pair.
 
     ``edge(i, j)`` is one table read, and compares the pair on its first
-    query.  ``scan(u, vertices)`` is the row comparison: it compares u
-    with ``vertices`` in order, the test written inline, and records both
-    entries of each pair.  It returns the index of the first vertex u has
-    an edge to (u beats it, or ties), comparing no further, or
-    len(vertices) when there is none; with ``stop`` false it compares
-    every vertex and returns len(vertices).  It reads no table entry, so
-    callers pass only vertices whose pair with u is undecided; then no
-    pair's products are computed twice.
+    query.  ``scan(u, vertices)`` is the row comparison: it reads u
+    against ``vertices`` in order from the table, comparing an undecided
+    pair with the test written inline and recording both entries.  It
+    returns the index of the first vertex u has an edge to (u beats it,
+    or ties), reading no further, or len(vertices) when there is none;
+    with ``stop`` false it reads every vertex and returns len(vertices).
+    No pair's products are computed twice.
     """
     vec: Vec = as_weight_vector(w)
     n = a.n
@@ -190,16 +191,20 @@ def _edge_oracle(
     def scan(u: int, vertices: Sequence[int], stop: bool = True) -> int:
         p_u, q_u, num_u, table_u = p[u], q[u], num[u], table[u]
         for t, v in enumerate(vertices):
-            forward = p_u * q[v] * num[v][u]
-            backward = num_u[v] * p[v] * q_u
-            if forward >= backward:
-                table_u[v] = True
-                table[v][u] = forward == backward
-                if stop:
-                    return t
-            else:
-                table_u[v] = False
-                table[v][u] = True
+            known = table_u[v]
+            if known is None:
+                forward = p_u * q[v] * num[v][u]
+                backward = num_u[v] * p[v] * q_u
+                if forward >= backward:
+                    table_u[v] = True
+                    table[v][u] = forward == backward
+                    if stop:
+                        return t
+                else:
+                    table_u[v] = False
+                    table[v][u] = True
+            elif known and stop:
+                return t
         return len(vertices)
 
     def edge(i: int, j: int) -> bool:
@@ -321,14 +326,27 @@ def _grow_cycle(edge: Edge, path: list[int]) -> HamiltonianCycle:
 def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertificate:
     """Decide efficiency of w for a, with a cycle or cut witness.
 
-    Both witnesses come from one insertion path: its first run is the
-    source component, the cut when it is not all n vertices, and otherwise
-    the path grows into a Hamiltonian cycle.  Builds no digraph: edges are
-    read from ``_edge_oracle``, so only the pairs the certificate needs are
-    compared.
+    A sweep first keeps a candidate c, replaced by each later vertex with
+    an edge to it; c ends in the source component.  When no earlier vertex
+    has an edge to c either, the cut is (c,), from at most 2n - 3
+    comparisons and with no path built.  Otherwise both witnesses come from
+    one insertion path: its first run is the source component, the cut
+    when it is not all n vertices, and otherwise the path grows into a
+    Hamiltonian cycle.  Builds no digraph: edges are read from
+    ``_edge_oracle``, so only the pairs the certificate needs are compared,
+    each at most once.
     """
     _, edge, scan = _edge_oracle(a, w)
     n = a.n
+    # Every later vertex loses to the final candidate c, and c reaches each
+    # earlier one through the candidates before it, so c lies in the source
+    # component; it is the whole cut when no earlier vertex has an edge to c.
+    c = 0
+    for v in range(1, n):
+        if edge(v, c):
+            c = v
+    if not any(edge(v, c) for v in range(c)):
+        return EfficiencyCertificate(efficient=False, cut=(c,))
     path = _hamiltonian_path(edge, scan, n)
     end = next(_component_ends(edge, path))
     if end < n - 1:

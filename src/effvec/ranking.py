@@ -249,6 +249,9 @@ def _residual(m: _IntegerMatrix, vec: Vec) -> Fraction:
     The defect does not change when v is scaled, so v is scaled to integers
     c_j and divided by each column denominator S_j over their lcm P: then
     (M v)_i / v_i = s_i / (R_i P c_i), with s_i one integer dot product.
+    With lambda = x/y, defect i is |s_i y - x R_i P c_i| / (R_i P y); both
+    maxima are found by integer cross-products, and only the result is
+    built as a Fraction.
     """
     rows, row_den, col_den = m
     d = math.lcm(*(v.denominator for v in vec))
@@ -256,8 +259,17 @@ def _residual(m: _IntegerMatrix, vec: Vec) -> Fraction:
     c = [v.numerator * (d // v.denominator) for v in vec]
     scaled = [cj * (p // sj) for cj, sj in zip(c, col_den)]
     image = [sum(map(operator.mul, row, scaled)) for row in rows]
-    lam = max(Fraction(si, r * p * ci) for si, r, ci in zip(image, row_den, c))
-    return max(abs(Fraction(si, r * p) - lam * ci) for si, r, ci in zip(image, row_den, c)) / max(c)
+    below = [r * p * ci for r, ci in zip(row_den, c)]
+    x, y = image[0], below[0]
+    for si, bi in zip(image, below):
+        if si * y > x * bi:
+            x, y = si, bi
+    top, r_top = 0, 1
+    for si, bi, r in zip(image, below, row_den):
+        defect = abs(si * y - x * bi)
+        if defect * r_top > top * r:
+            top, r_top = defect, r
+    return Fraction(top, r_top * p * y * max(c))
 
 
 def _spectral_candidate(

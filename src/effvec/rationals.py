@@ -21,6 +21,8 @@ __all__ = [
 ]
 
 MAX_DECIMAL_EXPONENT = 10_000
+# An unreadable literal longer than this is echoed as a prefix and a length.
+_ECHO_CHARS = 40
 
 
 def rationalize(value: int | float | str | Fraction) -> Fraction:
@@ -49,7 +51,9 @@ def parse_rational(text: str) -> Fraction:
 
     A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude is
     refused: the literal stays short while the value it denotes, and the
-    cost of building it, grows without bound.
+    cost of building it, grows without bound.  The message for a literal
+    that cannot be read echoes at most ``_ECHO_CHARS`` of it, and names
+    Python's integer digit limit when that is the cause.
     """
     token = text.strip()
     if not token:
@@ -60,7 +64,12 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {token!r}") from exc
+        message = f"bad rational literal {token!r}"
+        if len(token) > _ECHO_CHARS:
+            message = f"bad rational literal {token[:_ECHO_CHARS]!r}... ({len(token)} characters)"
+        if str(exc).startswith("Exceeds the limit"):
+            message += f": exceeds the {sys.get_int_max_str_digits()}-digit limit"
+        raise ValueError(message) from exc
 
 
 def format_rational(value: Fraction) -> str:

@@ -284,7 +284,8 @@ class TestIsEfficient:
             is_efficient(consistent3, fractions(1, 1, 1, 1))
 
     def test_one_scc_pass_per_certificate(self, monkeypatch, circulant4, double4):
-        # The single component pass is the run scan over the insertion path.
+        # The single component pass is the run scan over the insertion path;
+        # a one-vertex cut is found by the candidate sweep and needs none.
         calls = []
         component_ends = effvec.digraph._component_ends
 
@@ -293,11 +294,15 @@ class TestIsEfficient:
             return component_ends(edge, path)
 
         monkeypatch.setattr(effvec.digraph, "_component_ends", counting)
-        cases = [(circulant4, circulant4.column(0), True), (double4, fractions(2, 4, 5, 4), False)]
-        for a, w, efficient in cases:
+        cases = [
+            (circulant4, circulant4.column(0), None, 1),
+            (double4, fractions(2, 4, 5, 4), (2,), 0),
+            (circulant4, fractions(1, 3, 1, 3), (1, 3), 1),
+        ]
+        for a, w, cut, passes in cases:
             calls.clear()
-            assert is_efficient(a, w).efficient is efficient
-            assert len(calls) == 1
+            assert is_efficient(a, w).cut == cut
+            assert len(calls) == passes
 
 
 def column_perturbed(rng: random.Random, n: int):
@@ -349,6 +354,25 @@ def noisy_column_150():
     a = column_perturbed(rng, 150)
     column = a.column(rng.randrange(150))
     return a, tuple(x * Fraction(rng.randint(90, 110), 100) for x in column)
+
+
+def certify_counting_reads(a, w):
+    """``is_efficient(a, w)`` and a Counter of its reads of the numerator
+    table, by (row, column); each comparison of a pair reads both entries."""
+    reads = collections.Counter()
+
+    class CountedRow(tuple):
+        def __getitem__(self, j):
+            reads[self.i, j] += 1
+            return tuple.__getitem__(self, j)
+
+    rows = []
+    for i, row in enumerate(a._numerators):
+        rows.append(CountedRow(row))
+        rows[-1].i = i
+    counted = ReciprocalMatrix(a.entries)
+    object.__setattr__(counted, "_numerators", tuple(rows))
+    return is_efficient(counted, w), reads
 
 
 class TestEdgeOracle:
@@ -413,6 +437,42 @@ class TestEdgeOracle:
         assert set(reads.values()) == {1}
         assert all((j, i) in reads for i, j in reads)
         assert len(reads) // 2 <= 150 * 149 // 2
+
+    @pytest.mark.parametrize("k", [0, 1, 74, 148, 149])
+    def test_one_vertex_cut_reads_linear_pairs(self, monkeypatch, k):
+        # A vertex scaled far above the rest is a one-vertex cut; the sweep
+        # certifies it from at most 2n - 3 pairs and builds no path.
+        rng = random.Random(f"one-vertex:{k}")
+        a = column_perturbed(rng, 150)
+        w = tuple(x * 2**40 if i == k else x for i, x in enumerate(random_weight_vector(rng, 150)))
+
+        def refuse(*args):
+            raise AssertionError("is_efficient built the insertion path")
+
+        monkeypatch.setattr(effvec.digraph, "_hamiltonian_path", refuse)
+        cert, reads = certify_counting_reads(a, w)
+        monkeypatch.undo()
+        assert cert.cut == (k,)
+        check_reference_certificate(a, w, cert)
+        assert set(reads.values()) == {1}
+        assert len(reads) // 2 <= 2 * 150 - 3
+
+    def test_each_pair_compared_at_most_once_after_sweep(self):
+        # Subset-scaled vectors whose cut is not one vertex: the sweep's
+        # pairs are read again by the path, from the table.
+        rng = random.Random("pair-once-scaled")
+        a = generate("random", 150, seed=1)
+        cuts = 0
+        for size in (2, 40, 149):
+            subset = frozenset(rng.sample(range(150), size))
+            w = tuple(x * 2**40 if i in subset else x for i, x in enumerate(random_weight_vector(rng, 150)))
+            cert, reads = certify_counting_reads(a, w)
+            check_reference_certificate(a, w, cert)
+            assert set(cert.cut) <= subset
+            cuts += len(cert.cut) > 1
+            assert set(reads.values()) == {1}
+            assert all((j, i) in reads for i, j in reads)
+        assert cuts
 
     @pytest.mark.parametrize("kind", ["consistent", "double", "chosen"])
     def test_ties_match_full_table_reference(self, kind):

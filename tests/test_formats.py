@@ -94,6 +94,24 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="^component 1: bad rational literal"):
             parse_vector(f"{literal} 1")
 
+    def test_long_literal_echoed_as_prefix(self):
+        # A long literal that cannot be read is echoed as its first 40
+        # characters and its length, naming the digit limit when that is
+        # the cause; a short one is echoed whole.
+        digits = "1" + "0" * 5000
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(f"2\n1 {digits}\n1 1\n")
+        assert str(exc.value) == (
+            f"line 2, entry 2: bad rational literal '{digits[:40]}'... (5001 characters): "
+            "exceeds the 4300-digit limit"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_vector("1 " + "x" * 41)
+        assert str(exc.value) == f"component 2: bad rational literal '{'x' * 40}'... (41 characters)"
+        with pytest.raises(ParseError) as exc:
+            parse_vector("1 " + "x" * 40)
+        assert str(exc.value) == f"component 2: bad rational literal '{'x' * 40}'"
+
     def test_deeply_nested_json(self):
         with pytest.raises(ParseError, match="bad JSON"):
             parse_matrix('{"rows": ' + "[" * 100_000)
