@@ -71,7 +71,7 @@ def export(rev: str, into: Path) -> Path:
     archive = into.with_suffix(".tar")
     subprocess.run(["git", "archive", "--output", str(archive), rev], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
     archive.unlink()
     return into
 

@@ -9,17 +9,21 @@ set of extreme rays, 1 collapses the cone to a single ray, > 1 empties it.
 
 Everything about one cycle comes from a single chain of integer prefix
 products, read from the numerator table of the matrix: the product, its
-comparison with 1, its first largest entry, and the extreme rays, which a
+comparison with 1, and the extreme rays, which a
 cone builds on first read; below product 1, entry k of ``extremes`` is the
 ray that leaves edge k slack.  That ray is the chain scaled by the cycle
 product beyond position k, so the n rays share 2n - 1 values and build
-2n - 4 Fractions (``_extremes``); no Fraction arithmetic decides anything.
+2n - 4 Fractions (``_extremes``).  A caller that needs one ray, the
+minimum-reversal vector or a convexity draw, builds it alone from running
+integer products with no chain kept (``_ray``).  No Fraction arithmetic
+decides anything.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Sequence
 
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, is_consistent
@@ -36,31 +40,26 @@ __all__ = [
 _ONE = Fraction(1)
 
 
-def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int], int]:
+def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int]]:
     """Prefix products along ``cycle.order``, read from the integer table.
 
-    With e_t = r_t/s_t the entry on edge t, returns R, S and k with
+    With e_t = r_t/s_t the entry on edge t, returns R and S with
     R[t] = r_0*...*r_(t-1) and S[t] = s_0*...*s_(t-1) for t = 0..n, so the
-    prefix product is P_t = R[t]/S[t] and the cycle product is R[n]/S[n];
-    e_k is the first largest entry, found by cross products.
+    prefix product is P_t = R[t]/S[t] and the cycle product is R[n]/S[n].
     """
     num, order = a._numerators, cycle.order
     if len(order) != len(num):
         raise ValueError("cycle length does not match matrix dimension")
     R, S = [1], [1]
     r = s = 1
-    top, top_r, top_s = 0, 0, 1
     src = order[0]
-    for t, dst in enumerate((*order[1:], src)):
-        x, y = num[src][dst], num[dst][src]
-        if x * top_s > top_r * y:
-            top, top_r, top_s = t, x, y
-        r *= x
-        s *= y
+    for dst in (*order[1:], src):
+        r *= num[src][dst]
+        s *= num[dst][src]
         R.append(r)
         S.append(s)
         src = dst
-    return R, S, top
+    return R, S
 
 
 def _extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
@@ -74,7 +73,7 @@ def _extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
     rays are pairwise distinct exactly when the cycle product differs from 1;
     at product 1 they all coincide.
     """
-    R, S, _ = _chain(a, cycle)
+    R, S = _chain(a, cycle)
     order, entries = cycle.order, a.entries
     n = len(order)
     r, s = R[n], S[n]
@@ -97,9 +96,40 @@ def _extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
     return tuple(rays)
 
 
+def _ray(a: ReciprocalMatrix, order: Sequence[int], k: int) -> Vec:
+    """Entry k of ``_extremes`` alone: the ray that leaves edge k slack.
+
+    Positions j <= k hold 1/P_j and positions beyond k hold Pi/P_j, the
+    product of the entries from edge j to the last.  Both run as integer
+    products outward from vertex 0, forward to position k and backward to
+    position k + 1, so no chain is kept and at most n - 2 Fractions are
+    built: 1/P_1 and Pi/P_(n-1) are entries of column 0.
+    """
+    num, entries = a._numerators, a.entries
+    n = len(order)
+    w = [_ONE] * n  # by vertex; vertex 0 sits at position 0
+    if k:
+        u = order[1]
+        r, s, w[u] = num[0][u], num[u][0], entries[u][0]
+        for v in order[2 : k + 1]:
+            r *= num[u][v]
+            s *= num[v][u]
+            w[v] = Fraction(s, r)
+            u = v
+    if k < n - 1:
+        v = order[-1]
+        r, s, w[v] = num[v][0], num[0][v], entries[v][0]
+        for u in order[n - 2 : k : -1]:
+            r *= num[u][v]
+            s *= num[v][u]
+            w[u] = Fraction(r, s)
+            v = u
+    return tuple(w)
+
+
 def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     """Product of the matrix entries along the cycle."""
-    R, S, _ = _chain(a, cycle)
+    R, S = _chain(a, cycle)
     return Fraction(R[-1], S[-1])
 
 

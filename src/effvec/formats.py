@@ -28,7 +28,7 @@ from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 from .perturbed import ColumnPerturbedForm, EfficiencyBand
 from .ranking import RankingCandidate
 from .reversals import ReversalReport
-from .rationals import format_rational, parse_rational, rationalize
+from .rationals import _echo, format_rational, parse_rational, rationalize
 
 __all__ = [
     "parse_matrix",
@@ -57,7 +57,7 @@ def _rational_from_json(value: Any, where: str) -> Fraction:
             return rationalize(value)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), where) from None
-    raise ParseError(f"expected a rational literal, got {value!r}", where)
+    raise ParseError(f"expected a rational literal, got {_echo(value)}", where)
 
 
 def _json_int(token: str) -> int:
@@ -94,7 +94,7 @@ def _parse_matrix_text(text: str) -> ReciprocalMatrix:
     try:
         n = int(head)
     except ValueError:
-        raise ParseError(f"expected the dimension, got {head!r}", f"line {no}") from None
+        raise ParseError(f"expected the dimension, got {_echo(head)}", f"line {no}") from None
     if len(lines) - 1 < n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", f"line {no}")
     rows = []
@@ -216,10 +216,11 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def summary_to_json(d: Decomposition) -> dict:
-    """Counts of a decomposition, with a consistent matrix's ray.  Below
-    product 1 every cone has n extreme rays, so none is built."""
-    out: dict[str, Any] = {"cones": len(d.cones), "unit_cycles": len(d.unit_cycles)}
-    out["extremes_per_cone"] = [d.matrix.n] * len(d.cones)
+    """Counts of a decomposition, with a consistent matrix's ray.  It
+    counts the cycle orders, so no record is built, and below product 1
+    every cone has n extreme rays, so no ray is built either."""
+    out: dict[str, Any] = {"cones": len(d.cone_orders), "unit_cycles": len(d.unit_orders)}
+    out["extremes_per_cone"] = [d.matrix.n] * len(d.cone_orders)
     if d.ray is not None:
         out["ray"] = _vector_to_json(d.ray)
     return out

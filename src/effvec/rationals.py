@@ -46,6 +46,19 @@ def rationalize(value: int | float | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def _echo(value: object) -> str:
+    """``repr(value)`` for a message; input longer than ``_ECHO_CHARS``
+    (a string's characters, or else its repr) is cut to that many
+    characters and followed by its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    head = text[:_ECHO_CHARS]
+    if isinstance(value, str):
+        head = repr(head)
+    return f"{head}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: 'p/q', an integer, or a decimal string.
 
@@ -64,9 +77,7 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        message = f"bad rational literal {token!r}"
-        if len(token) > _ECHO_CHARS:
-            message = f"bad rational literal {token[:_ECHO_CHARS]!r}... ({len(token)} characters)"
+        message = f"bad rational literal {_echo(token)}"
         if str(exc).startswith("Exceeds the limit"):
             message += f": exceeds the {sys.get_int_max_str_digits()}-digit limit"
         raise ValueError(message) from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import _ONE, _chain
+from .cones import _ray
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 from .records import Record
@@ -88,26 +88,25 @@ def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[V
     """Efficient vector from ``cycle``'s cone minimizing reversals along it.
 
     It is the cone's extreme ray that leaves the cycle's first largest entry
-    e_k slack, built alone: position j holds 1/P_j up to k and Pi/P_j beyond.
-    The cycle-local reversal count is 0 exactly when some entry along the
-    cycle exceeds 1 or the cycle product equals 1; otherwise it is 1, and no
+    e_k slack.  One pass over the cycle finds k, by integer cross products,
+    and the cycle product; ``_ray`` then builds that ray alone.  The
+    cycle-local reversal count is 0 exactly when some entry along the cycle
+    exceeds 1 or the cycle product equals 1; otherwise it is 1, and no
     vector of the cone does better.
     """
-    R, S, top = _chain(a, cycle)
-    order, entries = cycle.order, a.entries
-    n = len(order)
-    r, s = R[n], S[n]
+    num, order = a._numerators, cycle.order
+    if len(order) != len(num):
+        raise ValueError("cycle length does not match matrix dimension")
+    r = s = 1
+    top, top_r, top_s = 0, 0, 1
+    src = order[0]
+    for t, dst in enumerate((*order[1:], src)):
+        x, y = num[src][dst], num[dst][src]
+        if x * top_s > top_r * y:
+            top, top_r, top_s = t, x, y
+        r *= x
+        s *= y
+        src = dst
     if r > s:
         raise ValueError("cycle product exceeds 1; the cone is empty")
-    w = [_ONE] * n  # by vertex
-    for j in range(2, top + 1):
-        w[order[j]] = Fraction(S[j], R[j])
-    for j in range(top + 1, n - 1):
-        w[order[j]] = Fraction(r * S[j], s * R[j])
-    # 1/P_1 = 1/e_0 and Pi/P_(n-1) = e_(n-1) are entries of column 0.
-    if top:
-        w[order[1]] = entries[order[1]][0]
-    if top < n - 1:
-        w[order[-1]] = entries[order[-1]][0]
-    num, u, v = a._numerators, order[top], order[(top + 1) % n]
-    return tuple(w), int(r < s and num[u][v] <= num[v][u])
+    return _ray(a, order, top), int(r < s and top_r <= top_s)

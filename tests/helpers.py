@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from effvec import (
     build_digraph,
     is_efficient,
     normalize,
+    proportional,
 )
 
 
@@ -280,6 +282,24 @@ def min_reversal_vector_reference(a: ReciprocalMatrix, cycle: HamiltonianCycle) 
     along = count_reversals_reference(a, vec, cycle)[1]
     assert along is not None
     return vec, along
+
+
+def convexity_draws_reference(d: Decomposition) -> tuple[Vec, Vec, Fraction] | None:
+    """The witness of ``convexity_report``'s blend draws, by the loop it ran
+    before it built single rays: each draw chose from two cones' whole ray
+    lists, here back-substituted, and blended by Fraction arithmetic.  None
+    when no draw finds one."""
+    a, cones = d.matrix, d.cones
+    rng = random.Random(0)
+    for _ in range(1000 if len(cones) > 1 else 0):
+        i, j = rng.sample(range(len(cones)), 2)
+        u = rng.choice(cone_extremes_reference(a, cones[i].cycle))
+        v = rng.choice(cone_extremes_reference(a, cones[j].cycle))
+        t = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+        blend = tuple(t * ui + (1 - t) * vi for ui, vi in zip(u, v))
+        if not proportional(u, v) and not is_efficient(a, blend).efficient:
+            return u, v, t
+    return None
 
 
 def check_convexity_report(a: ReciprocalMatrix, report) -> None:

@@ -1,8 +1,10 @@
 """The summary and the BENCH file of scripts/bench_pairs.py, on synthetic
-runs (no subprocess)."""
+runs, and its export of a revision from a throwaway git repository."""
 
 import importlib.util
 import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,41 @@ def test_confirm_key_needs_an_existing_file(tmp_path):
     assert bench_pairs.parse_args(args + [str(path)]).key == "confirm"
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["HEAD~1", "--key", "other", "--out", str(path)])
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        cwd=repo, check=True, capture_output=True,
+    )
+
+
+def test_export_unpacks_the_committed_tree(tmp_path, monkeypatch):
+    # The suite turns warnings into errors, so an extraction that warns
+    # (tarfile without a filter, from Python 3.12 on) fails here.
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "top.txt").write_text("committed\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "first")
+    (repo / "top.txt").write_text("not committed\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = bench_pairs.export("HEAD", tmp_path / "out")
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["pkg", "pkg/mod.py", "top.txt"]
+    assert (out / "top.txt").read_text() == "committed\n"
+    assert not (tmp_path / "out.tar").exists()
+
+
+def test_export_refuses_a_link_out_of_the_tree(tmp_path, monkeypatch):
+    # The "data" filter refuses a member that points outside the export.
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "escape").symlink_to("/etc/hostname")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "link")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    with pytest.raises(tarfile.FilterError):
+        bench_pairs.export("HEAD", tmp_path / "out")

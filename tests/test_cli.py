@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from effvec import format_matrix, parse_matrix
+from effvec import format_matrix, generate, parse_matrix
 from effvec.cli import build_parser, main
 
 
@@ -114,6 +114,29 @@ class TestDecompose:
         assert main(["decompose", files["double"], "--summary", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"cones": 3, "unit_cycles": 0, "extremes_per_cone": [4, 4, 4]}
+
+    def test_summary_builds_no_record(self, files, capsys, monkeypatch):
+        # A summary counts the walk's orders: no cone and no cycle record.
+        import effvec.decomposition
+        from effvec import HamiltonianCycle
+
+        expected = {}
+        text = format_matrix(generate("simple", 6, seed=0))
+        path = files["tmp"] / "simple.txt"
+        path.write_text(text)
+        for flags in ([], ["--json"]):
+            assert main(["decompose", str(path), "--summary", *flags]) == 0
+            expected[tuple(flags)] = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("a summary builds no record")
+
+        monkeypatch.setattr(effvec.decomposition, "EfficiencyCone", refuse)
+        monkeypatch.setattr(HamiltonianCycle, "_unchecked", refuse)
+        for flags in ([], ["--json"]):
+            assert main(["decompose", str(path), "--summary", *flags]) == 0
+            assert capsys.readouterr().out == expected[tuple(flags)]
+        assert json.loads(expected[("--json",)]) == {"cones": 24, "unit_cycles": 72, "extremes_per_cone": [6] * 24}
 
     def test_json_round_trips(self, files, capsys):
         assert main(["decompose", files["circulant"], "--json"]) == 0

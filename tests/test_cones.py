@@ -25,6 +25,8 @@ from effvec import (
     monomial_similarity,
     resolve_unit_cycle,
 )
+from effvec.cones import _ray
+from effvec.generators import KINDS
 from helpers import (
     cone_contains_reference,
     cone_extremes_reference,
@@ -123,6 +125,26 @@ class TestLazyRays:
             assert cone.extremes == cone_extremes_reference(a, cone.cycle)
             assert cone.extremes is cone.extremes
             assert cone.product < 1 and not cone.singleton
+
+
+class TestSingleRay:
+    """``_ray(a, order, k)`` builds entry k of a cone's extremes alone."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_ray_of_every_cone(self, kind):
+        for n in range(3, 8):
+            for seed in range(3):
+                a = generate(kind, n, seed=seed)
+                for cone in decompose(a).cones:
+                    assert len(cone.extremes) == n
+                    for k, ray in enumerate(cone.extremes):
+                        assert _ray(a, cone.cycle.order, k) == ray
+
+    def test_unit_cycle_ray(self, consistent3):
+        # At product 1 every omitted edge gives the one ray.
+        cycle = identity_cycle(3)
+        (ray,) = EfficiencyCone(consistent3, cycle).extremes
+        assert [_ray(consistent3, cycle.order, k) for k in range(3)] == [ray] * 3
 
 
 class TestConeMembership:

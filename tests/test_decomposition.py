@@ -1,6 +1,8 @@
 """Cone decomposition of the efficient set and convexity reports."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,8 @@ import pytest
 
 from effvec import (
     CapExceededError,
+    Decomposition,
+    EfficiencyCone,
     HamiltonianCycle,
     consistent_matrix,
     convexity_report,
@@ -21,9 +25,10 @@ from effvec import (
     proportional,
     random_weight_vector,
 )
+import effvec.cones
 from effvec import decomposition
 from effvec.decomposition import _walk
-from helpers import check_convexity_report, fractions
+from helpers import check_convexity_report, convexity_draws_reference, fractions
 
 
 class TestAllCycles:
@@ -150,6 +155,51 @@ class TestDecompose:
             decompose(a, cap=10)
 
 
+class TestLazyRecords:
+    """``decompose`` keeps the walk's orders and builds records on first read."""
+
+    @staticmethod
+    def eager(a):
+        below, unit = enumerate_cycles(a)
+        return Decomposition(a, tuple(EfficiencyCone(a, c) for c in below), unit)
+
+    @pytest.mark.parametrize("kind,n", [("simple", 5), ("double", 5), ("random", 6), ("column", 4)])
+    def test_lazy_is_the_eager_record(self, kind, n):
+        a = generate(kind, n, seed=1)
+        for clone in (lambda x: x, copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            lazy, eager = decompose(a), self.eager(a)
+            assert lazy.cone_orders == eager.cone_orders and lazy.unit_orders == eager.unit_orders
+            # Each clone reads the records of a fresh decomposition first.
+            lazy = clone(lazy)
+            assert type(lazy) is Decomposition
+            assert lazy == eager and eager == lazy
+            assert hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+            assert pickle.dumps(lazy) == pickle.dumps(eager)
+
+    def test_records_built_once_on_first_read(self, monkeypatch, double4):
+        d = decompose(double4)
+        assert d.cone_orders == ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)) and d.unit_orders == ()
+
+        def refuse(*args):
+            raise AssertionError("a record was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "EfficiencyCone", refuse)
+            with pytest.raises(AssertionError, match="a record was built"):
+                d.cones
+        assert [c.cycle.order for c in d.cones] == list(d.cone_orders)
+        monkeypatch.setattr(decomposition, "EfficiencyCone", refuse)
+        assert d.cones is d.cones and d.unit_cycles is d.unit_cycles == ()
+
+    def test_fields_stay_closed(self, double4):
+        d = decompose(double4)
+        for name in ("cones", "unit_cycles", "cone_orders"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, ())
+        with pytest.raises(AttributeError, match="'Decomposition' object has no attribute 'unlisted'"):
+            d.unlisted
+
+
 class TestConvexityReport:
     def test_consistent_is_convex(self, consistent3):
         report = convexity_report(decompose(consistent3))
@@ -191,6 +241,26 @@ class TestConvexityReport:
                 report = convexity_report(decompose(a))
                 assert report.verdict == ("convex" if kind == "simple" else "non_convex")
                 check_convexity_report(a, report)
+
+    def test_witness_of_the_whole_ray_draws(self, double4, monkeypatch):
+        # Each draw builds its two rays alone; no cone's ray list is built,
+        # and the witness is the one the draws over whole ray lists found.
+        # At random n = 4, seed 4, the draws reach rays u, v for which only
+        # one of t*u + (1-t)*v and (1-t)*u + t*v is efficient, so the
+        # witness also pins which ray takes the weight t.
+        kinds = ("double", "column", "random")
+        matrices = [double4] + [generate(kind, n, seed=s) for kind in kinds for n in (4, 5, 6) for s in range(5)]
+        decomposed = [decompose(a) for a in matrices]
+        expected = [convexity_draws_reference(d) for d in decomposed]
+
+        def refuse(*args):
+            raise AssertionError("a draw built a cone's ray list")
+
+        monkeypatch.setattr(effvec.cones, "_extremes", refuse)
+        for d, witness in zip(decomposed, expected):
+            assert witness is not None
+            report = convexity_report(d)
+            assert report.verdict == "non_convex" and report.witness == witness
 
     def test_undecided_is_refused(self, double4, monkeypatch):
         # Without draws no witness turns up, and double4's rays share no

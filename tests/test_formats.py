@@ -112,6 +112,35 @@ class TestParseMatrix:
             parse_vector("1 " + "x" * 40)
         assert str(exc.value) == f"component 2: bad rational literal '{'x' * 40}'"
 
+    def test_long_dimension_echoed_as_prefix(self):
+        # The first line is echoed as parse_rational echoes a literal.
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("x" * 5000 + "\n1\n")
+        assert str(exc.value) == f"line 1: expected the dimension, got '{'x' * 40}'... (5000 characters)"
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("x" * 41)
+        assert str(exc.value) == f"line 1: expected the dimension, got '{'x' * 40}'... (41 characters)"
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("# note\n\n  2x \n")
+        assert str(exc.value) == "line 3: expected the dimension, got '2x'"
+
+    def test_long_json_entry_echoed_as_prefix(self):
+        # An entry that is no literal is echoed by its repr, cut the same
+        # way; this list's JSON text is its repr.
+        long_list = "[" + ", ".join(["1"] * 3000) + "]"
+        with pytest.raises(ParseError) as exc:
+            parse_matrix('{"rows": [[1, ' + long_list + "], [1, 1]]}")
+        assert str(exc.value) == (
+            f"row 1, entry 2: expected a rational literal, got {long_list[:40]}... (9000 characters)"
+        )
+        for value, shown in [("[1, 2]", "[1, 2]"), ("null", "None"), ('{"p": 1}', "{'p': 1}")]:
+            with pytest.raises(ParseError) as exc:
+                parse_matrix('{"rows": [[1, ' + value + "], [1, 1]]}")
+            assert str(exc.value) == f"row 1, entry 2: expected a rational literal, got {shown}"
+        with pytest.raises(ParseError) as exc:
+            parse_vector("[" + long_list + "]")
+        assert str(exc.value).endswith("... (9000 characters)") and len(str(exc.value)) < 120
+
     def test_deeply_nested_json(self):
         with pytest.raises(ParseError, match="bad JSON"):
             parse_matrix('{"rows": ' + "[" * 100_000)

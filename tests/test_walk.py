@@ -7,6 +7,7 @@ through the allowed edges, in the same order, with the same products.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -142,3 +143,28 @@ def test_cycle_order_is_permutation_order():
     num = [[1] * n for _ in range(n)]
     orders = [order for order, _, _ in _walk(num, complete)]
     assert orders == [(0,) + rest for rest in itertools.permutations(range(1, n))]
+
+
+class _CountingRows(list):
+    """A list of rows that counts the rows read by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_first_cycle_reads_linear_rows():
+    # The walk is lazy: on a complete digraph the first cycle is the
+    # rotation 0 -> 1 -> ... -> n-1 -> 0, found along one path, so the
+    # caller that stops there reads O(n) rows of the (n-1)! cycles' tables.
+    n = 12
+    table = generate("random", n, seed=0)._numerators
+    num = _CountingRows(table)
+    allowed = _CountingRows([[i != j for j in range(n)] for i in range(n)])
+    order, r, s = next(_walk(num, allowed))
+    assert order == tuple(range(n))
+    edges = list(zip(order, order[1:] + order[:1]))
+    assert (r, s) == (math.prod(table[i][j] for i, j in edges), math.prod(table[j][i] for i, j in edges))
+    assert allowed.reads < n and num.reads <= 2 * n
