@@ -6,16 +6,16 @@ cycles at product exactly 1 contribute single rays already absorbed by that
 union.  One depth-first walker lists the cycles anchored at vertex 0 through
 a given set of edges, in lexicographic order, with each product carried as
 integer prefix products; it is one lazy loop, so a caller that stops at
-the first cycle pays only for the paths tried before it.  Over all edges it visits the
-(n-1)! cycles once and splits them into the sub-unit and the unit cycles;
-that enumeration is refused beyond a configurable cap instead of silently
-taking forever.  A decomposition keeps the walk's cycle orders and builds
-its cone and cycle records on first read.  A vector lies in a cycle's cone
-exactly when every cycle edge is an edge of its dominance digraph, so
-membership walks only that digraph's edges.  The efficient set is convex
-exactly when it is the hull of all the cones' extreme rays: an inefficient
-blend of two rays, each built alone, disproves it, and the edges of
-``common_digraph`` over the rays, strongly connected, prove it.
+the first cycle pays only for the paths tried before it.  Over all edges
+it visits the (n-1)! cycles once and splits them into the sub-unit and the
+unit cycles; that enumeration is refused beyond a configurable cap instead
+of silently taking forever.  A decomposition keeps the walk's cycle orders
+and builds its cone and cycle records on first read.  A vector lies in a
+cycle's cone exactly when every cycle edge is an edge of its dominance
+digraph, so membership walks only that digraph's edges.  The efficient set
+is convex exactly when it is the hull of all the cones' extreme rays: an
+inefficient blend of two rays, each built alone, disproves it, and the
+edges of ``common_digraph`` over the rays, strongly connected, prove it.
 """
 
 from __future__ import annotations
@@ -156,6 +156,8 @@ class Decomposition(Record):
     Equality, hash, repr and copies read the records.
     """
 
+    matrix: ReciprocalMatrix
+    ray: Vec | None
     _fields = ("matrix", "cones", "unit_cycles", "ray")
 
     def __init__(self, matrix, cones, unit_cycles, ray=None) -> None:

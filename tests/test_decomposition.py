@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import effvec.cones
 from effvec import (
     CapExceededError,
     Decomposition,
@@ -25,7 +26,6 @@ from effvec import (
     proportional,
     random_weight_vector,
 )
-import effvec.cones
 from effvec import decomposition
 from effvec.decomposition import _walk
 from helpers import check_convexity_report, convexity_draws_reference, fractions
@@ -189,7 +189,7 @@ class TestLazyRecords:
                 d.cones
         assert [c.cycle.order for c in d.cones] == list(d.cone_orders)
         monkeypatch.setattr(decomposition, "EfficiencyCone", refuse)
-        assert d.cones is d.cones and d.unit_cycles is d.unit_cycles == ()
+        assert d.cones is d.cones and d.unit_cycles == ()
 
     def test_fields_stay_closed(self, double4):
         d = decompose(double4)
