@@ -7,16 +7,14 @@ These cones are the building blocks of the efficient set.  The product of
 the entries along the cycle controls the shape: product < 1 gives a full
 set of extreme rays, 1 collapses the cone to a single ray, > 1 empties it.
 
-Everything about one cycle comes from a single chain of integer prefix
-products, read from the numerator table of the matrix: the product, its
-comparison with 1, and the extreme rays, which a
-cone builds on first read; below product 1, entry k of ``extremes`` is the
-ray that leaves edge k slack.  That ray is the chain scaled by the cycle
-product beyond position k, so the n rays share 2n - 1 values and build
-2n - 4 Fractions (``_extremes``).  A caller that needs one ray, the
-minimum-reversal vector or a convexity draw, builds it alone from running
-integer products with no chain kept (``_ray``).  No Fraction arithmetic
-decides anything.
+Everything about one cycle comes from integer products read from the
+numerator table of the matrix: the product and its comparison with 1, and
+the extreme rays, which a cone builds on first read; below product 1,
+entry k of ``extremes`` is the ray that leaves edge k slack.  One builder,
+``_rays``, makes any run of those rays from a backward and a forward run
+of products, so the rays it returns share their values; a caller that
+needs one ray, the minimum-reversal vector or a convexity draw, asks it
+for a run of one.  No Fraction arithmetic decides anything.
 """
 
 from __future__ import annotations
@@ -40,97 +38,74 @@ __all__ = [
 _ONE = Fraction(1)
 
 
-def _chain(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[list[int], list[int]]:
-    """Prefix products along ``cycle.order``, read from the integer table.
+def _rays(a: ReciprocalMatrix, order: Sequence[int], lo: int, hi: int) -> list[Vec]:
+    """The extreme rays that leave edges lo..hi of the cycle ``order`` slack.
 
-    With e_t = r_t/s_t the entry on edge t, returns R and S with
-    R[t] = r_0*...*r_(t-1) and S[t] = s_0*...*s_(t-1) for t = 0..n, so the
-    prefix product is P_t = R[t]/S[t] and the cycle product is R[n]/S[n].
-    """
-    num, order = a._numerators, cycle.order
-    if len(order) != len(num):
-        raise ValueError("cycle length does not match matrix dimension")
-    R, S = [1], [1]
-    r = s = 1
-    src = order[0]
-    for dst in (*order[1:], src):
-        r *= num[src][dst]
-        s *= num[dst][src]
-        R.append(r)
-        S.append(s)
-        src = dst
-    return R, S
-
-
-def _extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
-    """All extreme rays, in the order of the omitted edge, from one chain.
-
-    Position j of the ray omitting the last edge holds 1/P_j, and of the
-    ray omitting edge 0, Pi/P_j.  The ray omitting edge k agrees with the
-    first at positions j <= k and with the second beyond, so the n rays
-    share 2n - 1 values.  Three need no new Fraction: 1/P_0 = 1, and
-    1/P_1 = 1/e_0 and Pi/P_(n-1) = e_(n-1) are entries of column 0.  The
-    rays are pairwise distinct exactly when the cycle product differs from 1;
-    at product 1 they all coincide.
-    """
-    R, S = _chain(a, cycle)
-    order, entries = cycle.order, a.entries
-    n = len(order)
-    r, s = R[n], S[n]
-    if r > s:
-        raise ValueError("cycle product exceeds 1; the cone is empty")
-    inverse = [_ONE, entries[order[1]][0], *map(Fraction, S[2:n], R[2:n])]  # by position
-    w = [None] * n  # by vertex
-    if r == s:
-        for v, x in zip(order, inverse):
-            w[v] = x
-        return (tuple(w),)
-    # Position 0 is set from ``inverse`` before the first ray is taken.
-    for j in range(1, n - 1):
-        w[order[j]] = Fraction(r * S[j], s * R[j])
-    w[order[-1]] = entries[order[-1]][0]
-    rays = []
-    for v, x in zip(order, inverse):
-        w[v] = x
-        rays.append(tuple(w))
-    return tuple(rays)
-
-
-def _ray(a: ReciprocalMatrix, order: Sequence[int], k: int) -> Vec:
-    """Entry k of ``_extremes`` alone: the ray that leaves edge k slack.
-
-    Positions j <= k hold 1/P_j and positions beyond k hold Pi/P_j, the
-    product of the entries from edge j to the last.  Both run as integer
-    products outward from vertex 0, forward to position k and backward to
-    position k + 1, so no chain is kept and at most n - 2 Fractions are
-    built: 1/P_1 and Pi/P_(n-1) are entries of column 0.
+    With P_j the product of the entries on edges 0..j-1 and Pi = P_n, the
+    ray leaving edge k slack holds 1/P_j at positions j <= k and Pi/P_j,
+    the product of the entries from edge j to the last, beyond.  Integer
+    products run backward from the closing edge to position lo + 1, then
+    forward from vertex 0, and the ray for k is taken once the forward run
+    has set position k, so the rays share their values and at most 2n - 4
+    Fractions are built: 1/P_1 and Pi/P_(n-1) are entries of column 0.  At
+    product 1 every k gives the same ray.
     """
     num, entries = a._numerators, a.entries
     n = len(order)
     w = [_ONE] * n  # by vertex; vertex 0 sits at position 0
-    if k:
+    v = order[-1]
+    r, s, w[v] = num[v][0], num[0][v], entries[v][0]
+    for u in order[n - 2 : lo : -1]:
+        r *= num[u][v]
+        s *= num[v][u]
+        w[u] = Fraction(r, s)
+        v = u
+    rays = [tuple(w)] if lo == 0 else []
+    if hi:
         u = order[1]
         r, s, w[u] = num[0][u], num[u][0], entries[u][0]
-        for v in order[2 : k + 1]:
+        if lo <= 1:
+            rays.append(tuple(w))
+        for k in range(2, hi + 1):
+            v = order[k]
             r *= num[u][v]
             s *= num[v][u]
             w[v] = Fraction(s, r)
+            if k >= lo:
+                rays.append(tuple(w))
             u = v
-    if k < n - 1:
-        v = order[-1]
-        r, s, w[v] = num[v][0], num[0][v], entries[v][0]
-        for u in order[n - 2 : k : -1]:
-            r *= num[u][v]
-            s *= num[v][u]
-            w[u] = Fraction(r, s)
-            v = u
-    return tuple(w)
+    return rays
+
+
+def _extremes(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[Vec, ...]:
+    """All extreme rays, in the order of the omitted edge, or the one ray
+    at product 1: the rays are pairwise distinct exactly when the cycle
+    product Pi differs from 1.  Pi = e_0 * Pi/P_1, and ray 0 holds Pi/P_1
+    at position 1, so Pi is compared with 1 as two integer products."""
+    num, order = a._numerators, cycle.order
+    if len(order) != len(num):
+        raise ValueError("cycle length does not match matrix dimension")
+    rays = _rays(a, order, 0, len(order) - 1)
+    u = order[1]
+    x = rays[0][u]
+    r, s = num[0][u] * x.numerator, num[u][0] * x.denominator
+    if r > s:
+        raise ValueError("cycle product exceeds 1; the cone is empty")
+    return (rays[0],) if r == s else tuple(rays)
 
 
 def cycle_product(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> Fraction:
     """Product of the matrix entries along the cycle."""
-    R, S = _chain(a, cycle)
-    return Fraction(R[-1], S[-1])
+    num, order = a._numerators, cycle.order
+    if len(order) != len(num):
+        raise ValueError("cycle length does not match matrix dimension")
+    r = s = 1
+    src = order[-1]
+    for dst in order:
+        r *= num[src][dst]
+        s *= num[dst][src]
+        src = dst
+    return Fraction(r, s)
 
 
 class EfficiencyCone(Record):

@@ -16,6 +16,8 @@ digraph, so membership walks only that digraph's edges.  The efficient set
 is convex exactly when it is the hull of all the cones' extreme rays: an
 inefficient blend of two rays, each built alone, disproves it, and the
 edges of ``common_digraph`` over the rays, strongly connected, prove it.
+Both steps build rays from the cycle orders with ``cones._rays``, so
+records are built only when ``cones`` or ``unit_cycles`` is read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cones import EfficiencyCone, _ray
+from .cones import EfficiencyCone, _rays
 from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient
 from .errors import CapExceededError
 from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
@@ -253,12 +255,13 @@ def convexity_report(d: Decomposition) -> ConvexityReport:
     First, up to ``_DRAWS`` seeded draws of a blend of extreme rays from two
     distinct cones; an inefficient blend proves the set non-convex.  A draw
     picks two cycle orders and a ray index for each, builds just those two
-    rays with ``_ray`` and forms each blend component as one Fraction from
-    integer cross products; no cone record is read.  Then the edges shared
-    by every ray's dominance digraph: each is a linear inequality, so every
-    point of the rays' hull keeps them, and when they are strongly
-    connected the whole hull is efficient and is the set.  Raises
-    CapExceededError when neither step settles the question.
+    rays as runs of one with ``_rays`` and forms each blend component as one
+    Fraction from integer cross products; no cone record is read.  Then the
+    edges shared by every ray's dominance digraph, each order's rays built
+    as one run: each edge is a linear inequality, so every point of the
+    rays' hull keeps them, and when they are strongly connected the whole
+    hull is efficient and is the set.  Raises CapExceededError when
+    neither step settles the question.
     """
     a = d.matrix
     orders = d.cone_orders
@@ -266,7 +269,8 @@ def convexity_report(d: Decomposition) -> ConvexityReport:
     rng = random.Random(_SEED)
     for _ in range(_DRAWS if len(orders) > 1 else 0):
         i, j = rng.sample(range(len(orders)), 2)
-        u, v = _ray(a, orders[i], rng.choice(positions)), _ray(a, orders[j], rng.choice(positions))
+        k, m = rng.choice(positions), rng.choice(positions)
+        (u,), (v,) = _rays(a, orders[i], k, k), _rays(a, orders[j], m, m)
         t = rng.choice(_BLEND_WEIGHTS)
         p, q = t.numerator, t.denominator
         blend = tuple(
@@ -278,7 +282,7 @@ def convexity_report(d: Decomposition) -> ConvexityReport:
         )
         if not proportional(u, v) and not is_efficient(a, blend).efficient:
             return ConvexityReport(verdict="non_convex", reason="witness", witness=(u, v, t))
-    rays = [d.ray] if d.ray is not None else dict.fromkeys(r for c in d.cones for r in c.extremes)
+    rays = [d.ray] if d.ray is not None else dict.fromkeys(r for o in orders for r in _rays(a, o, 0, a.n - 1))
     shared = common_digraph(a, rays)
     if _reaches_all(shared) and _reaches_all(tuple(zip(*shared))):
         edges = tuple((i, j) for i, row in enumerate(shared) for j, has in enumerate(row) if has and i != j)

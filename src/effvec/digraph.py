@@ -62,7 +62,8 @@ class HamiltonianCycle(Record):
 
     __slots__ = _fields = ("order",)
 
-    def __init__(self, order: tuple[int, ...]) -> None:
+    def __init__(self, order: Sequence[int]) -> None:
+        order = tuple(order)
         n = len(order)
         if n < 2:
             raise ValueError("cycles need at least two vertices")
@@ -108,7 +109,8 @@ class DominanceDigraph(Record):
 
     __slots__ = _fields = ("adjacency",)
 
-    def __init__(self, adjacency: tuple[tuple[bool, ...], ...]) -> None:
+    def __init__(self, adjacency: Sequence[Sequence[bool]]) -> None:
+        adjacency = tuple(map(tuple, adjacency))
         adj, n = adjacency, len(adjacency)
         square = all(len(row) == n for row in adj)
         if not square or not all(adj[i][j] or adj[j][i] for j in range(n) for i in range(j)):

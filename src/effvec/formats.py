@@ -109,9 +109,9 @@ def _parse_matrix_text(text: str) -> ReciprocalMatrix:
                 row.append(parse_rational(token))
             except ValueError as exc:
                 raise ParseError(str(exc), f"line {no}, entry {c + 1}") from None
-        rows.append(tuple(row))
+        rows.append(row)
     try:
-        a = ReciprocalMatrix(tuple(rows))
+        a = ReciprocalMatrix(rows)
     except ValueError as exc:
         raise ParseError(str(exc), "matrix") from None
     if len(lines) > n + 1:
@@ -138,7 +138,7 @@ def _matrix_from_json(payload: Any) -> ReciprocalMatrix:
             tuple(_rational_from_json(v, f"row {r + 1}, entry {c + 1}") for c, v in enumerate(row))
         )
     try:
-        return ReciprocalMatrix(tuple(parsed))
+        return ReciprocalMatrix(parsed)
     except ValueError as exc:
         raise ParseError(str(exc), "matrix") from None
 

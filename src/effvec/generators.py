@@ -62,7 +62,7 @@ def generate(kind: str, n: int, seed: int = 0) -> ReciprocalMatrix:
             for j in range(i + 1, n):
                 rows[i][j] = rng.choice(_SCALE)
                 rows[j][i] = 1 / rows[i][j]
-        return ReciprocalMatrix(tuple(tuple(row) for row in rows))
+        return ReciprocalMatrix(rows)
 
     base = consistent_matrix(random_weight_vector(rng, n))
     rows = [list(row) for row in base.entries]
@@ -82,4 +82,4 @@ def generate(kind: str, n: int, seed: int = 0) -> ReciprocalMatrix:
         factors = rng.sample(_OFF_UNIT, n - 1)
         for i, factor in zip((t for t in range(n) if t != c), factors):
             _perturb(rows, i, c, factor)
-    return ReciprocalMatrix(tuple(tuple(row) for row in rows))
+    return ReciprocalMatrix(rows)

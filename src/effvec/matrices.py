@@ -67,7 +67,8 @@ class ReciprocalMatrix(Record):
     _fields = ("entries",)
     __slots__ = ("entries", "_numerators")
 
-    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+    def __init__(self, entries: Sequence[Sequence[Fraction]]) -> None:
+        entries = tuple(map(tuple, entries))
         n = len(entries)
         if n < 2:
             raise ValueError("comparison matrices need dimension at least 2")
@@ -95,7 +96,7 @@ class ReciprocalMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | float | str | Fraction]]) -> "ReciprocalMatrix":
-        return cls(tuple(tuple(rationalize(v) for v in row) for row in rows))
+        return cls([[rationalize(v) for v in row] for row in rows])
 
     @property
     def n(self) -> int:
@@ -110,7 +111,7 @@ class ReciprocalMatrix(Record):
 def consistent_matrix(w: Sequence[Fraction]) -> ReciprocalMatrix:
     """The rank-one comparison matrix with entries w_i / w_j."""
     vec = as_weight_vector(w)
-    return ReciprocalMatrix(tuple(tuple(wi / wj for wj in vec) for wi in vec))
+    return ReciprocalMatrix([[wi / wj for wj in vec] for wi in vec])
 
 
 def _consistent_on(a: ReciprocalMatrix, keep: Sequence[int]) -> bool:
@@ -144,7 +145,8 @@ class MonomialTransform(Record):
 
     __slots__ = _fields = ("scale", "perm")
 
-    def __init__(self, scale: Vec, perm: tuple[int, ...]) -> None:
+    def __init__(self, scale: Sequence[Fraction], perm: Sequence[int]) -> None:
+        scale, perm = tuple(scale), tuple(perm)
         n = len(scale)
         if len(perm) != n:
             raise ValueError("scale and permutation must have equal length")
@@ -168,7 +170,7 @@ def monomial_similarity(a: ReciprocalMatrix, t: MonomialTransform) -> Reciprocal
     for i in range(n):
         for j in range(n):
             out[t.perm[i]][t.perm[j]] = a.entries[i][j] * t.scale[i] / t.scale[j]
-    return ReciprocalMatrix(tuple(tuple(row) for row in out))
+    return ReciprocalMatrix(out)
 
 
 def transform_vector(w: Sequence[Fraction], t: MonomialTransform) -> Vec:

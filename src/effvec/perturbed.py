@@ -98,7 +98,7 @@ def detect_column_perturbed(a: ReciprocalMatrix) -> ColumnPerturbedForm | None:
     for position, t in enumerate(keep, start=1):
         perm[t] = position
 
-    transform = MonomialTransform(tuple(scale), tuple(perm))
+    transform = MonomialTransform(scale, perm)
     canonical = monomial_similarity(a, transform)
     if any(
         canonical.entries[i][j] != 1 for i in range(1, n) for j in range(1, n)

@@ -62,6 +62,8 @@ def _echo(value: object) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: 'p/q', an integer, or a decimal string.
 
+    Inside the literal, underscores and whitespace are refused, as Python
+    3.10's ``Fraction`` refuses them; later versions accept some of them.
     A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in magnitude is
     refused: the literal stays short while the value it denotes, and the
     cost of building it, grows without bound.  The message for a literal
@@ -73,6 +75,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("empty rational literal")
     _, marker, exponent = token.lower().rpartition("e")
     try:
+        if "_" in token or len(token.split()) > 1:
+            raise ValueError("underscore or space inside the literal")
         if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
         return Fraction(token)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import _ray
+from .cones import _rays
 from .digraph import HamiltonianCycle
 from .matrices import ReciprocalMatrix, Vec, as_weight_vector
 from .records import Record
@@ -89,7 +89,7 @@ def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[V
 
     It is the cone's extreme ray that leaves the cycle's first largest entry
     e_k slack.  One pass over the cycle finds k, by integer cross products,
-    and the cycle product; ``_ray`` then builds that ray alone.  The
+    and the cycle product; ``_rays`` then builds that ray alone.  The
     cycle-local reversal count is 0 exactly when some entry along the cycle
     exceeds 1 or the cycle product equals 1; otherwise it is 1, and no
     vector of the cone does better.
@@ -109,4 +109,5 @@ def min_reversal_vector(a: ReciprocalMatrix, cycle: HamiltonianCycle) -> tuple[V
         src = dst
     if r > s:
         raise ValueError("cycle product exceeds 1; the cone is empty")
-    return _ray(a, order, top), int(r < s and top_r <= top_s)
+    (ray,) = _rays(a, order, top, top)
+    return ray, int(r < s and top_r <= top_s)

@@ -71,6 +71,20 @@ class TestCheck:
         assert time.perf_counter() - start < 1
         assert "bad rational literal '1e999999999'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,content,literal",
+        [
+            ("underscore.txt", "2\n1 1_0/3\n3/10 1\n", "1_0/3"),
+            ("space.json", '{"n": 2, "rows": [["1", "1/ 2"], ["2", "1"]]}', "1/ 2"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_literal_outside_the_grammar_exit_two(self, files, capsys, name, content, literal):
+        path = files["tmp"] / name
+        path.write_text(content)
+        assert main(["check", str(path), files["column"]]) == 2
+        assert f"bad rational literal {literal!r}" in capsys.readouterr().err
+
     def test_long_json_integer_exit_two(self, files, capsys):
         path = files["tmp"] / "long.json"
         path.write_text('{"n": 2, "rows": [[1, 1' + "0" * 5000 + "], [1, 1]]}")
@@ -104,11 +118,14 @@ class TestDecompose:
 
     def test_summary_builds_no_cone(self, files, capsys, monkeypatch):
         import effvec.cones
+        import effvec.decomposition
+        import effvec.reversals
 
         def refuse(*args):
             raise AssertionError("a summary needs no extreme ray")
 
-        monkeypatch.setattr(effvec.cones, "_extremes", refuse)
+        for module in (effvec.cones, effvec.decomposition, effvec.reversals):
+            monkeypatch.setattr(module, "_rays", refuse)
         assert main(["decompose", files["double"], "--summary"]) == 0
         assert "extremes per cone: 4 4 4\n" in capsys.readouterr().out
         assert main(["decompose", files["double"], "--summary", "--json"]) == 0

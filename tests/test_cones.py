@@ -25,7 +25,7 @@ from effvec import (
     monomial_similarity,
     resolve_unit_cycle,
 )
-from effvec.cones import _ray
+from effvec.cones import _rays
 from effvec.generators import KINDS
 from helpers import (
     cone_contains_reference,
@@ -128,7 +128,8 @@ class TestLazyRays:
 
 
 class TestSingleRay:
-    """``_ray(a, order, k)`` builds entry k of a cone's extremes alone."""
+    """``_rays(a, order, lo, hi)`` builds entries lo..hi of a cone's
+    extremes; a single ray is a run of one."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_ray_of_every_cone(self, kind):
@@ -136,15 +137,19 @@ class TestSingleRay:
             for seed in range(3):
                 a = generate(kind, n, seed=seed)
                 for cone in decompose(a).cones:
-                    assert len(cone.extremes) == n
-                    for k, ray in enumerate(cone.extremes):
-                        assert _ray(a, cone.cycle.order, k) == ray
+                    extremes, order = cone.extremes, cone.cycle.order
+                    assert len(extremes) == n
+                    for lo in range(n):
+                        for hi in range(lo, n):
+                            assert _rays(a, order, lo, hi) == list(extremes[lo : hi + 1])
 
     def test_unit_cycle_ray(self, consistent3):
-        # At product 1 every omitted edge gives the one ray.
+        # At product 1 every run of omitted edges gives the one ray.
         cycle = identity_cycle(3)
         (ray,) = EfficiencyCone(consistent3, cycle).extremes
-        assert [_ray(consistent3, cycle.order, k) for k in range(3)] == [ray] * 3
+        for lo in range(3):
+            for hi in range(lo, 3):
+                assert _rays(consistent3, cycle.order, lo, hi) == [ray] * (hi - lo + 1)
 
 
 class TestConeMembership:

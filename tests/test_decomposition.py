@@ -243,8 +243,8 @@ class TestConvexityReport:
                 check_convexity_report(a, report)
 
     def test_witness_of_the_whole_ray_draws(self, double4, monkeypatch):
-        # Each draw builds its two rays alone; no cone's ray list is built,
-        # and the witness is the one the draws over whole ray lists found.
+        # Each draw builds its two rays alone, as runs of one; no cone's ray
+        # list is built, and the witness is the one the draws over whole ray lists found.
         # At random n = 4, seed 4, the draws reach rays u, v for which only
         # one of t*u + (1-t)*v and (1-t)*u + t*v is efficient, so the
         # witness also pins which ray takes the weight t.
@@ -253,14 +253,20 @@ class TestConvexityReport:
         decomposed = [decompose(a) for a in matrices]
         expected = [convexity_draws_reference(d) for d in decomposed]
 
-        def refuse(*args):
-            raise AssertionError("a draw built a cone's ray list")
+        runs = []
 
-        monkeypatch.setattr(effvec.cones, "_extremes", refuse)
+        def single(a, order, lo, hi):
+            runs.append(hi - lo + 1)
+            return rays(a, order, lo, hi)
+
+        rays = effvec.cones._rays
+        for module in (effvec.cones, decomposition):
+            monkeypatch.setattr(module, "_rays", single)
         for d, witness in zip(decomposed, expected):
             assert witness is not None
             report = convexity_report(d)
             assert report.verdict == "non_convex" and report.witness == witness
+        assert runs and set(runs) == {1}
 
     def test_undecided_is_refused(self, double4, monkeypatch):
         # Without draws no witness turns up, and double4's rays share no

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, in
+development mode with warnings as errors."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = ("column_perturbation", "order_reversals", "ranking_methods", "worked_ex
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        [sys.executable, "-X", "dev", "-W", "error", str(ROOT / "demos" / f"{demo}.py")],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -6,7 +6,7 @@ is_efficient up to n = 150, columns_common_cone, detect_column_perturbed
 and convexity_report.  The CLI corpus covers every subcommand of
 effvec.cli.main in text and JSON, with its options and error paths: exit
 codes, stdout and stderr.  A change that moves any of these outputs changes
-a hash.
+a hash.  The script runs in development mode with warnings as errors.
 """
 
 import os
@@ -24,7 +24,7 @@ EXPECTED = [
 def test_output_hash_unchanged():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "output_hash.py")],
+        [sys.executable, "-X", "dev", "-W", "error", str(ROOT / "scripts" / "output_hash.py")],
         cwd=ROOT,
         env=env,
         capture_output=True,

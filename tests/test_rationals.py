@@ -65,6 +65,12 @@ class TestParseFormat:
             parse_rational(text)
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("text", ["1_000", "1_0/3", "1e1_0", "1/ 2", "1 /2"])
+    def test_parse_refuses_underscores_and_inner_spaces(self, text):
+        # Python 3.10's grammar: later Fractions read some of these.
+        with pytest.raises(ValueError, match=f"^bad rational literal {text!r}$"):
+            parse_rational(text)
+
     def test_format_round_trip(self):
         for value in (Fraction(3, 4), Fraction(-2), Fraction(7), Fraction(1, 10**12)):
             assert parse_rational(format_rational(value)) == value

@@ -132,6 +132,26 @@ class TestConstruction:
         assert by_position == by_keyword
         assert tuple(getattr(by_position, name) for name in names) == values
 
+    @pytest.mark.parametrize(
+        "cls,values",
+        [
+            (ReciprocalMatrix, (A.entries,)),
+            (MonomialTransform, (T.scale, T.perm)),
+            (HamiltonianCycle, ((0, 2, 1),)),
+            (DominanceDigraph, (((True, False), (True, True)),)),
+        ],
+        ids=["ReciprocalMatrix", "MonomialTransform", "HamiltonianCycle", "DominanceDigraph"],
+    )
+    def test_lists_stored_as_tuples(self, cls, values):
+        # The checked constructors store tuples, so a record built from
+        # lists equals, and hashes as, the one built from tuples.
+        def listed(x):
+            return [listed(y) for y in x] if isinstance(x, tuple) else x
+
+        from_lists, from_tuples = cls(*map(listed, values)), cls(*values)
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert from_lists._values() == values
+
     def test_signature_and_defaults(self, record):
         cls, names, defaults, _, _ = record
         params = list(inspect.signature(cls).parameters.values())
