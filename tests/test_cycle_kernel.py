@@ -52,6 +52,8 @@ def check_every_cycle(a: ReciprocalMatrix) -> dict[str, int]:
             for call in (efficiency_cone, min_reversal_vector):
                 with pytest.raises(ValueError, match="exceeds 1"):
                     call(a, cycle)
+            with pytest.raises(ValueError, match="exceeds 1"):
+                EfficiencyCone(a, cycle).extremes
             continue
         extremes = cone_extremes_reference(a, cycle)
         assert len(extremes) == (a.n if product < 1 else 1)
