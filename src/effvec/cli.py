@@ -24,6 +24,7 @@ from .decomposition import DEFAULT_CYCLE_CAP, convexity_report, decompose, membe
 from .digraph import HamiltonianCycle, build_digraph, improve, is_efficient
 from .errors import CapExceededError, ConvergenceError, EffvecError, ParseError
 from .formats import (
+    _literal,
     certificate_to_json,
     convexity_to_json,
     decomposition_to_json,
@@ -141,11 +142,7 @@ def _cmd_rank(args: argparse.Namespace) -> tuple[int, dict | str]:
     a = parse_matrix(_read_text(args.matrix))
     weights = None
     if args.weights:
-        parts = [tok for tok in args.weights.replace(",", " ").split() if tok]
-        try:
-            weights = tuple(parse_rational(tok) for tok in parts)
-        except ValueError as exc:
-            raise ParseError(str(exc), "--weights") from None
+        weights = tuple(_literal(tok, "--weights") for tok in args.weights.replace(",", " ").split())
         if len(weights) != a.n:
             raise ParseError(f"expected {a.n} weights, got {len(weights)}")
 

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 from .cones import EfficiencyCone, _rays
 from .digraph import HamiltonianCycle, build_digraph, common_digraph, is_efficient
 from .errors import CapExceededError
-from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize, proportional
+from .matrices import ReciprocalMatrix, Vec, is_consistent, normalize
 from .records import Record
 
 __all__ = [
@@ -154,16 +154,20 @@ class Decomposition(Record):
     of both, as int tuples.  ``decompose`` sets only the orders, and the
     records of ``cones`` and ``unit_cycles`` are built when each is first
     read, so a caller that counts or walks the orders builds none; a
-    decomposition built from its records reads their orders on first use.
+    decomposition built from its records reads their orders off them.
     Equality, hash, repr and copies read the records.
     """
 
     matrix: ReciprocalMatrix
     ray: Vec | None
+    cone_orders: tuple[tuple[int, ...], ...]
+    unit_orders: tuple[tuple[int, ...], ...]
     _fields = ("matrix", "cones", "unit_cycles", "ray")
 
     def __init__(self, matrix, cones, unit_cycles, ray=None) -> None:
         self._set(matrix, cones, unit_cycles, ray)
+        cone_orders = tuple(cone.cycle.order for cone in cones)
+        self.__dict__.update(cone_orders=cone_orders, unit_orders=tuple(c.order for c in unit_cycles))
 
     @functools.cached_property
     def cones(self) -> tuple[EfficiencyCone, ...]:
@@ -172,14 +176,6 @@ class Decomposition(Record):
     @functools.cached_property
     def unit_cycles(self) -> tuple[HamiltonianCycle, ...]:
         return tuple(map(HamiltonianCycle._unchecked, self.unit_orders))
-
-    @functools.cached_property
-    def cone_orders(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cone.cycle.order for cone in self.cones)
-
-    @functools.cached_property
-    def unit_orders(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cycle.order for cycle in self.unit_cycles)
 
 
 def decompose(a: ReciprocalMatrix, cap: int = DEFAULT_CYCLE_CAP) -> Decomposition:
@@ -280,7 +276,7 @@ def convexity_report(d: Decomposition) -> ConvexityReport:
             )
             for x, y in zip(u, v)
         )
-        if not proportional(u, v) and not is_efficient(a, blend).efficient:
+        if not is_efficient(a, blend).efficient:
             return ConvexityReport(verdict="non_convex", reason="witness", witness=(u, v, t))
     rays = [d.ray] if d.ray is not None else dict.fromkeys(r for o in orders for r in _rays(a, o, 0, a.n - 1))
     shared = common_digraph(a, rays)

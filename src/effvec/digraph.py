@@ -34,7 +34,7 @@ Fraction arithmetic and no float takes part.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from fractions import Fraction
 
@@ -261,29 +261,26 @@ def _hamiltonian_path(edge: Edge, scan: Scan, n: int) -> list[int]:
     return path
 
 
-def _component_ends(edge: Edge, path: list[int]) -> Iterator[int]:
-    """Last path index of each strong component, in topological order.
+def _source_end(edge: Edge, path: list[int]) -> int:
+    """Last path index of the source strong component.
 
     In a semi-complete digraph the strong components are consecutive runs
-    of any Hamiltonian path.  The run from ``start`` grows to the farthest
-    later vertex with an edge back into it, since the path leads forward to
-    that vertex and the edge closes a cycle; the run is a component once no
-    later vertex has an edge into it, or once it reaches the last vertex.
-    Each pair is read at most once.
+    of any Hamiltonian path, the source component first.  The run from the
+    first vertex grows to the farthest later vertex with an edge back into
+    it, since the path leads forward to that vertex and the edge closes a
+    cycle; the run is the component once no later vertex has an edge into
+    it, or once it reaches the last vertex.  Each pair is read at most once.
     """
     n = len(path)
-    start = 0
-    while start < n:
-        end = s = start
-        while s <= end < n - 1:
-            v = path[s]
-            for t in range(n - 1, end, -1):
-                if edge(path[t], v):
-                    end = t
-                    break
-            s += 1
-        yield end
-        start = end + 1
+    end = s = 0
+    while s <= end < n - 1:
+        v = path[s]
+        for t in range(n - 1, end, -1):
+            if edge(path[t], v):
+                end = t
+                break
+        s += 1
+    return end
 
 
 def _grow_cycle(edge: Edge, path: list[int]) -> HamiltonianCycle:
@@ -350,7 +347,7 @@ def is_efficient(a: ReciprocalMatrix, w: Sequence[Fraction]) -> EfficiencyCertif
     if not any(edge(v, c) for v in range(c)):
         return EfficiencyCertificate(efficient=False, cut=(c,))
     path = _hamiltonian_path(edge, scan, n)
-    end = next(_component_ends(edge, path))
+    end = _source_end(edge, path)
     if end < n - 1:
         return EfficiencyCertificate(efficient=False, cut=tuple(sorted(path[: end + 1])))
     return EfficiencyCertificate(efficient=True, cycle=_grow_cycle(edge, path))

@@ -4,7 +4,10 @@ Text format for a matrix: the dimension on the first line, then one line
 per row with whitespace-separated entries.  Entries are rational literals:
 'p/q', integers, or decimal strings, all read exactly.  The JSON form is
 {"n": ..., "rows": [[...], ...]} with entries as literal strings so output
-stays exact and diff-friendly.
+stays exact and diff-friendly.  Every input literal, a text token or a JSON
+value, is read by ``_literal``, which locates its failure; ``_row`` reads
+a matrix row of either format through it, and ``_checked`` builds the
+matrix or vector, its ValueError located at "matrix" or "vector".
 
 A report is the dict a command's ``--json`` prints.  The ``*_to_json``
 builders make it, formatting every rational once; vertices are numbered
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .decomposition import ConvexityReport, Decomposition
 from .digraph import EfficiencyCertificate, HamiltonianCycle
@@ -49,7 +52,9 @@ __all__ = [
 ]
 
 
-def _rational_from_json(value: Any, where: str) -> Fraction:
+def _literal(value: Any, where: str) -> Fraction:
+    """The exact value of a literal from outside, a text token or a value
+    ``json.loads`` produced; a ParseError at ``where`` when it is none."""
     try:
         if isinstance(value, str):
             return parse_rational(value)
@@ -58,6 +63,21 @@ def _rational_from_json(value: Any, where: str) -> Fraction:
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), where) from None
     raise ParseError(f"expected a rational literal, got {_echo(value)}", where)
+
+
+def _row(values: Sequence[Any], n: int, where: str) -> list[Fraction]:
+    """A matrix row of n literals; its entries are located from 1 after ``where``."""
+    if len(values) != n:
+        raise ParseError(f"expected {n} entries, found {len(values)}", where)
+    return [_literal(v, f"{where}, entry {c}") for c, v in enumerate(values, 1)]
+
+
+def _checked(build: Callable[[list], Any], values: list, where: str) -> Any:
+    """``build(values)``, its ValueError a ParseError at ``where``."""
+    try:
+        return build(values)
+    except ValueError as exc:
+        raise ParseError(str(exc), where) from None
 
 
 def _json_int(token: str) -> int:
@@ -92,28 +112,15 @@ def _parse_matrix_text(text: str) -> ReciprocalMatrix:
         raise ParseError("empty matrix input", "line 1")
     no, head = lines[0]
     try:
+        if "_" in head:  # int() reads '0_2' as 2; no literal holds an underscore
+            raise ValueError(head)
         n = int(head)
     except ValueError:
         raise ParseError(f"expected the dimension, got {_echo(head)}", f"line {no}") from None
     if len(lines) - 1 < n:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", f"line {no}")
-    rows = []
-    for r in range(n):
-        no, line = lines[1 + r]
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", f"line {no}")
-        row = []
-        for c, token in enumerate(tokens):
-            try:
-                row.append(parse_rational(token))
-            except ValueError as exc:
-                raise ParseError(str(exc), f"line {no}, entry {c + 1}") from None
-        rows.append(row)
-    try:
-        a = ReciprocalMatrix(rows)
-    except ValueError as exc:
-        raise ParseError(str(exc), "matrix") from None
+    rows = [_row(lines[r][1].split(), n, f"line {lines[r][0]}") for r in range(1, n + 1)]
+    a = _checked(ReciprocalMatrix, rows, "matrix")
     if len(lines) > n + 1:
         raise ParseError(f"unexpected line after the {n} matrix rows", f"line {lines[n + 1][0]}")
     return a
@@ -130,37 +137,14 @@ def _matrix_from_json(payload: Any) -> ReciprocalMatrix:
         raise ParseError("matrix JSON 'n' must be an integer", "matrix")
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}", "matrix")
-    parsed = []
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise ParseError(f"expected {n} entries, found {len(row)}", f"row {r + 1}")
-        parsed.append(
-            tuple(_rational_from_json(v, f"row {r + 1}, entry {c + 1}") for c, v in enumerate(row))
-        )
-    try:
-        return ReciprocalMatrix(parsed)
-    except ValueError as exc:
-        raise ParseError(str(exc), "matrix") from None
+    return _checked(ReciprocalMatrix, [_row(row, n, f"row {r}") for r, row in enumerate(rows, 1)], "matrix")
 
 
 def parse_vector(text: str) -> Vec:
     """Parse a weight vector: whitespace-separated literals or a JSON array."""
     stripped = text.strip()
-    if stripped.startswith("["):
-        payload = _load_json(stripped, "vector")
-        values = [_rational_from_json(v, f"component {i + 1}") for i, v in enumerate(payload)]
-    else:
-        tokens = stripped.split()
-        values = []
-        for i, token in enumerate(tokens):
-            try:
-                values.append(parse_rational(token))
-            except ValueError as exc:
-                raise ParseError(str(exc), f"component {i + 1}") from None
-    try:
-        return as_weight_vector(values)
-    except ValueError as exc:
-        raise ParseError(str(exc), "vector") from None
+    values = _load_json(stripped, "vector") if stripped.startswith("[") else stripped.split()
+    return _checked(as_weight_vector, [_literal(v, f"component {i}") for i, v in enumerate(values, 1)], "vector")
 
 
 def format_matrix(a: ReciprocalMatrix) -> str:

@@ -72,18 +72,42 @@ class TestCheck:
         assert "bad rational literal '1e999999999'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name,content,literal",
+        "kind,content,literal,where",
         [
-            ("underscore.txt", "2\n1 1_0/3\n3/10 1\n", "1_0/3"),
-            ("space.json", '{"n": 2, "rows": [["1", "1/ 2"], ["2", "1"]]}', "1/ 2"),
+            ("matrix", "2\n1_0/3 1\n3/10 1\n", "1_0/3", "line 2, entry 1"),
+            ("matrix", '{"n": 2, "rows": [["1/ 2", "2"], ["1/2", "1"]]}', "1/ 2", "row 1, entry 1"),
+            ("vector", "1_0/3 1 1 1\n", "1_0/3", "component 1"),
+            ("vector", '["1/ 2", "1", "1", "1"]', "1/ 2", "component 1"),
+            ("weights", "1_0/3,1,1,1", "1_0/3", "--weights"),
         ],
-        ids=["text", "json"],
+        ids=["text", "json", "text-vector", "json-vector", "weights"],
     )
-    def test_literal_outside_the_grammar_exit_two(self, files, capsys, name, content, literal):
-        path = files["tmp"] / name
+    def test_literal_outside_the_grammar_exit_two(self, files, capsys, kind, content, literal, where):
+        # Every input literal is read by one reader: the same message at
+        # each entry point, located where the literal stood.
+        path = files["tmp"] / "input"
         path.write_text(content)
-        assert main(["check", str(path), files["column"]]) == 2
-        assert f"bad rational literal {literal!r}" in capsys.readouterr().err
+        argv = {
+            "matrix": ["check", str(path), files["column"]],
+            "vector": ["check", files["circulant"], str(path)],
+            "weights": ["rank", files["circulant"], "--weights", content],
+        }[kind]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: bad rational literal {literal!r}\n"
+
+    def test_underscore_in_dimension_exit_two(self, files, capsys):
+        # int() alone would read '0_2' as 2; the dimension follows the
+        # literal grammar, which has no underscore.
+        path = files["tmp"] / "dimension.txt"
+        path.write_text("0_2\n1 2\n1/2 1\n")
+        vector = files["tmp"] / "vector.txt"
+        vector.write_text("1 1\n")
+        assert main(["check", str(path), str(vector)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: expected the dimension, got '0_2'\n"
 
     def test_long_json_integer_exit_two(self, files, capsys):
         path = files["tmp"] / "long.json"

@@ -287,13 +287,13 @@ class TestIsEfficient:
         # The single component pass is the run scan over the insertion path;
         # a one-vertex cut is found by the candidate sweep and needs none.
         calls = []
-        component_ends = effvec.digraph._component_ends
+        source_end = effvec.digraph._source_end
 
         def counting(edge, path):
             calls.append(path)
-            return component_ends(edge, path)
+            return source_end(edge, path)
 
-        monkeypatch.setattr(effvec.digraph, "_component_ends", counting)
+        monkeypatch.setattr(effvec.digraph, "_source_end", counting)
         cases = [
             (circulant4, circulant4.column(0), None, 1),
             (double4, fractions(2, 4, 5, 4), (2,), 0),
